@@ -1,13 +1,16 @@
 """Invariant sweeps: structural, pointer, and differential checks.
 
-Every function returns a list of human-readable violation strings (empty
-means the property holds), so callers can aggregate across events and
-report the first failure with context.  These checks are deliberately
-written against the window text and the brute-force oracle, not against
-the incremental machinery they are auditing.
+`audit` walks the tree once and returns its findings grouped by family;
+every family empty means the tree is sound.  Findings are human-readable
+strings, so callers can aggregate across events and report the first
+failure with context.  These checks are deliberately written against the
+window text and the brute-force oracle, not against the incremental
+machinery they are auditing.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from . import oracle
 from .matching import find_all_counted
@@ -15,209 +18,186 @@ from .oracle import TreeSketch
 from .tree import as_pattern
 
 
-def sketch(tree) -> TreeSketch:
-    """Canonical description of the live tree, read back through edge labels."""
+@dataclass
+class Audit:
+    """Findings of one `audit`, one list per family.
+
+    * ``structure``: parent, key, depth, leaf-slot and suffix-link
+      consistency, and the bounds on the lrs length;
+    * ``topology``: the tree read back through its edge labels (``sketch``)
+      against the oracle, and the lrs length against the oracle's;
+    * ``freshness``: every edge's derived index pair lies inside the window
+      together with the parent's string in front of it;
+    * ``pointers``: plp flags and pointers, or credit pointer liveness;
+    * ``counters``: the per-event write bound and the linear-churn bound.
+    """
+
+    sketch: TreeSketch
+    structure: list
+    topology: list
+    freshness: list
+    pointers: list
+    counters: list
+
+    def violations(self) -> list:
+        """Every finding, family by family."""
+        return (self.structure + self.topology + self.freshness
+                + self.pointers + self.counters)
+
+
+def audit(tree, expected: TreeSketch = None) -> Audit:
+    """Check every invariant of the live tree in one depth-first walk.
+
+    ``expected`` is the oracle's sketch of the window; it is computed here
+    when not given.  Each edge label is derived once through
+    `tree.edge_label` and read once through `window.substring`.  A label
+    that cannot be derived or read is a freshness finding; the walk still
+    descends below it, with the strings there left unknown, so the
+    pointer checks cover the whole tree.
+
+    In plp mode the walk carries down the secondary node heading the
+    current primary path, so each primary leaf is checked against the one
+    node whose pointer must target it.  In credit mode each stored leaf
+    must lie inside the node's subtree: leaves are ranked in walk order,
+    and a marker pushed under a node's children compares the rank once
+    the subtree is done.
+    """
     win = tree.window
     tail = win.tail
-    internal = []
-    leaves = []
-    stack = [(tree.root, b"")]
+    head = win.head
+    if expected is None:
+        expected = oracle.naive_suffix_tree(win.to_bytes())
+    edge_label = tree.edge_label
+    substring = win.substring
+    leaf_at = tree.leaf_at
+    plp = tree.mode == "plp"
+    root = tree.root
+    structure, freshness, pointers = [], [], []
+    strings = {}          # internal node -> its string, None if unknown
+    leaf_starts = []
+    leaf_rank = {}        # credit mode: leaf -> rank in walk order
+    heads = prim_leaves = 0
+    if plp:
+        if root.prim:
+            pointers.append("root must stay secondary")
+        if not root.children and root.plp is not root:
+            pointers.append("empty root must point at itself")
+    # entries: (internal node, its string, head of its primary path); a
+    # credit marker is (None, owner node, (stored leaf, first rank below it));
+    # leaves are checked where their parent is, without a stack entry
+    stack = [(root, b"", root)]
     while stack:
-        node, s = stack.pop()
-        if node.children is None:
-            leaves.append(node.spos - tail + 1)
+        node, s, top = stack.pop()
+        if node is None:
+            leaf, first = top
+            if leaf_rank.get(leaf, -1) < first:
+                pointers.append(f"leaf {leaf.uid} is not a descendant of node {s.uid}")
             continue
-        internal.append(s)
-        for child in node.children.values():
-            lo, hi = tree.edge_label(child)
-            stack.append((child, s + win.substring(lo, hi)))
-    return TreeSketch(tuple(sorted(internal)), tuple(sorted(leaves)))
-
-
-def structural_violations(tree) -> list:
-    """Edge/label/depth/suffix-link consistency, checked from first principles."""
-    bad = []
-    win = tree.window
-    live = set()
-    strings = {}
-    stack = [(tree.root, b"")]
-    while stack:
-        node, s = stack.pop()
-        live.add(id(node))
-        strings[id(node)] = s
-        if node.children is None:
-            if not win.tail <= node.spos <= win.head:
-                bad.append(f"leaf start {node.spos} outside window")
-            if tree.leaf_at(node.spos) is not node:
-                bad.append(f"leaf slot lookup broken for spos {node.spos}")
-            continue
-        if node.parent is not None and len(node.children) < 2:
-            bad.append(f"non-root internal node {node.uid} has {len(node.children)} children")
-        for key, child in node.children.items():
+        children = node.children
+        strings[node] = s
+        depth = node.depth
+        if node is not root and len(children) < 2:
+            structure.append(f"non-root internal node {node.uid} has {len(children)} children")
+        if plp:
+            if children and (node is root or not node.prim):
+                heads += 1
+        elif children:
+            if node.lp < tail:
+                pointers.append(f"node {node.uid} stores stale leaf start {node.lp} < {tail}")
+            else:
+                leaf = leaf_at(node.lp)
+                if leaf is None:
+                    pointers.append(f"node {node.uid} stores start {node.lp} of no live leaf")
+                else:
+                    stack.append((None, node, (leaf, len(leaf_rank))))
+        prim_children = 0
+        for key, child in children.items():
             if child.parent is not node:
-                bad.append(f"parent link broken at node {child.uid}")
+                structure.append(f"parent link broken at node {child.uid}")
             if child.in_key != key:
-                bad.append(f"in_key mismatch at node {child.uid}")
-            lo, hi = tree.edge_label(child)
-            if lo > hi:
-                bad.append(f"empty edge label into node {child.uid}")
+                structure.append(f"in_key mismatch at node {child.uid}")
+            if not plp:
+                child_top = None
+            elif child.prim:
+                prim_children += 1
+                child_top = top
+            else:
+                child_top = child
+            label = None
+            try:
+                lo, hi = edge_label(child)
+            except (AttributeError, AssertionError):
+                # the pointer the pair is derived from is broken
+                freshness.append(f"no live leaf derives the edge label into node {child.uid}")
+            else:
+                if lo > hi:
+                    freshness.append(f"empty edge label <{lo},{hi}> into node {child.uid}")
+                elif lo < tail or hi > head:
+                    freshness.append(f"edge label <{lo},{hi}> into node {child.uid} not "
+                                     f"fresh for window [{tail}..{head}]")
+                else:
+                    if lo - depth < tail:
+                        freshness.append(f"edge label <{lo},{hi}> below depth {depth} not "
+                                         f"strongly fresh in [{tail}..{head}]")
+                    label = substring(lo, hi)
+                    if label[0] != key:
+                        structure.append(f"edge key {key} does not match label start "
+                                         f"{label[0]}")
+            if child.children is not None:
+                if label is None or s is None:
+                    stack.append((child, None, child_top))
+                else:
+                    if child.depth != depth + len(label):
+                        structure.append(f"depth inconsistency at node {child.uid}")
+                    stack.append((child, s + label, child_top))
                 continue
-            if not (win.tail <= lo and hi <= win.head):
-                bad.append(f"edge label <{lo},{hi}> not fresh for window "
-                           f"[{win.tail}..{win.head}]")
-            if lo - node.depth < win.tail:
-                bad.append(f"edge label <{lo},{hi}> into node {child.uid} not strongly fresh")
-            label = win.substring(lo, hi)
-            if label[0] != key:
-                bad.append(f"edge key {key} does not match label start {label[0]}")
-            if child.children is not None and child.depth != node.depth + len(label):
-                bad.append(f"depth inconsistency at node {child.uid}")
-            stack.append((child, s + label))
-    for node in tree.iter_nodes():
-        if node.children is None or node.parent is None:
+            spos = child.spos
+            leaf_starts.append(spos - tail + 1)
+            if not tail <= spos <= head:
+                structure.append(f"leaf start {spos} outside window")
+            if leaf_at(spos) is not child:
+                structure.append(f"leaf slot lookup broken for spos {spos}")
+            if not plp:
+                leaf_rank[child] = len(leaf_rank)
+            elif child.prim:
+                prim_leaves += 1
+                if top.plp is not child:
+                    pointers.append(f"pointer of node {top.uid} misses its primary path end")
+                    pointers.append(f"primary leaf {child.uid} has no pointer aimed at it")
+                if child.plp_inv is not top:
+                    pointers.append(f"stale inverse pointer on leaf {child.uid}")
+            elif child.plp_inv is not None:
+                pointers.append(f"secondary leaf {child.uid} carries an inverse pointer")
+        if plp and children and prim_children != 1:
+            pointers.append(f"node {node.uid} has {prim_children} primary children")
+    if plp and heads != prim_leaves:
+        pointers.append("pointer map is not a bijection onto the leaves")
+    for node, s in strings.items():
+        if node is root:
             continue
         link = node.suffix_link
         if link is None:
-            bad.append(f"internal node {node.uid} lacks a suffix link")
-            continue
-        if id(link) not in live:
-            bad.append(f"suffix link of node {node.uid} targets a dead node")
-            continue
-        if strings[id(link)] != strings[id(node)][1:]:
-            bad.append(f"suffix link of node {node.uid} spells the wrong string")
-    # active point bookkeeping
+            structure.append(f"internal node {node.uid} lacks a suffix link")
+        elif link not in strings:
+            structure.append(f"suffix link of node {node.uid} targets a dead node")
+        elif s is not None and strings[link] is not None and strings[link] != s[1:]:
+            structure.append(f"suffix link of node {node.uid} spells the wrong string")
     lrs = tree.lrs_len()
     if not 0 <= lrs <= max(len(win) - 1, 0):
-        bad.append(f"lrs length {lrs} impossible for window of {len(win)}")
-    return bad
+        structure.append(f"lrs length {lrs} impossible for window of {len(win)}")
 
-
-def edge_freshness_violations(tree) -> list:
-    """Strong-freshness bounds for every edge's derived index pair.
-
-    Label content is not re-read here; `sketch_violations` already proves
-    the labels spell the oracle tree.
-    """
-    bad = []
-    tail = tree.window.tail
-    head = tree.window.head
-    for node in tree.iter_nodes():
-        if node.parent is None:
-            continue
-        lo, hi = tree.edge_label(node)
-        if lo > hi or lo - node.parent.depth < tail or hi > head:
-            bad.append(f"edge pair <{lo},{hi}> below depth {node.parent.depth} "
-                       f"not strongly fresh in [{tail}..{head}]")
-    return bad
-
-
-def oracle_violations(tree) -> list:
-    """Differential check of shape, leaf set, and lrs against brute force."""
-    expected = oracle.naive_suffix_tree(tree.window_bytes())
-    return sketch_violations(tree, expected)
-
-
-def sketch_violations(tree, expected: TreeSketch) -> list:
-    bad = []
-    got = sketch(tree)
+    got = TreeSketch(tuple(sorted(s for s in strings.values() if s is not None)),
+                     tuple(sorted(leaf_starts)))
+    topology = []
     if got.internal_strings != expected.internal_strings:
-        bad.append(f"internal nodes {got.internal_strings!r} != oracle "
-                   f"{expected.internal_strings!r}")
+        topology.append(f"internal nodes {got.internal_strings!r} != oracle "
+                        f"{expected.internal_strings!r}")
     if got.leaf_starts != expected.leaf_starts:
-        bad.append(f"leaf starts {got.leaf_starts!r} != oracle {expected.leaf_starts!r}")
-    lrs = tree.lrs_len()
-    want_lrs = len(tree.window) - len(expected.leaf_starts)
+        topology.append(f"leaf starts {got.leaf_starts!r} != oracle {expected.leaf_starts!r}")
+    want_lrs = len(win) - len(expected.leaf_starts)
     if lrs != want_lrs:
-        bad.append(f"lrs length {lrs} != oracle {want_lrs}")
-    return bad
-
-
-def plp_violations(tree) -> list:
-    """Primary/secondary flag and pointer invariants (plp mode only)."""
-    bad = []
-    root = tree.root
-    if root.prim:
-        bad.append("root must stay secondary")
-    leaves = []
-    internals = []
-    for node in tree.iter_nodes():
-        if node.children is None:
-            leaves.append(node)
-        else:
-            internals.append(node)
-            prim_children = [c for c in node.children.values() if c.prim]
-            if node.children and len(prim_children) != 1:
-                bad.append(f"node {node.uid} has {len(prim_children)} primary children")
-    if not root.children:
-        if root.plp is not root:
-            bad.append("empty root must point at itself")
-        return bad
-    # each secondary node's pointer must equal the end of its primary path,
-    # and the pointer map must hit every leaf exactly once
-    targets = {}
-    for node in internals:
-        if node.prim:
-            continue
-        cur = node
-        while cur.children:
-            prim = [c for c in cur.children.values() if c.prim]
-            if len(prim) != 1:
-                cur = None  # already reported above
-                break
-            cur = prim[0]
-        if cur is None:
-            continue
-        if node.plp is not cur:
-            bad.append(f"pointer of node {node.uid} misses its primary path end")
-            continue
-        if id(cur) in targets:
-            bad.append(f"leaf {cur.uid} targeted twice")
-        targets[id(cur)] = node
-    for leaf in leaves:
-        if leaf.prim:
-            if id(leaf) not in targets:
-                bad.append(f"primary leaf {leaf.uid} has no pointer aimed at it")
-            elif leaf.plp_inv is not targets[id(leaf)]:
-                bad.append(f"stale inverse pointer on leaf {leaf.uid}")
-        else:
-            if id(leaf) in targets:
-                bad.append(f"secondary leaf {leaf.uid} targeted by node "
-                           f"{targets[id(leaf)].uid}")
-            if leaf.plp_inv is not None:
-                bad.append(f"secondary leaf {leaf.uid} carries an inverse pointer")
-    if len(targets) + sum(1 for l in leaves if not l.prim) != len(leaves):
-        bad.append("pointer map is not a bijection onto the leaves")
-    return bad
-
-
-def credit_violations(tree, deep: bool = False) -> list:
-    """Stored-pointer liveness for credit mode (lp(v) >= tail, leaf alive)."""
-    bad = []
-    tail = tree.window.tail
-    for node in tree.iter_nodes():
-        if node.children is None or not node.children:
-            continue  # leaves; the empty root holds no meaningful pointer
-        if node.lp < tail:
-            bad.append(f"node {node.uid} stores stale leaf start {node.lp} < {tail}")
-            continue
-        leaf = tree.leaf_at(node.lp)
-        if leaf is None:
-            bad.append(f"node {node.uid} stores start {node.lp} of no live leaf")
-            continue
-        if deep:
-            cur = leaf
-            while cur is not None and cur is not node:
-                cur = cur.parent
-            if cur is None:
-                bad.append(f"leaf {leaf.uid} is not a descendant of node {node.uid}")
-    return bad
-
-
-def pointer_violations(tree, deep: bool = False) -> list:
-    """Mode-appropriate leaf-pointer invariants."""
-    if tree.mode == "plp":
-        return plp_violations(tree)
-    return credit_violations(tree, deep=deep)
+        topology.append(f"lrs length {lrs} != oracle {want_lrs}")
+    return Audit(got, structure, topology, freshness, pointers, counter_violations(tree))
 
 
 def counter_violations(tree) -> list:
@@ -245,15 +225,4 @@ def matching_violations(tree, patterns, window_bytes=None) -> list:
         occ = len(want)
         if edges > len(p) + 2 * occ + 2:
             bad.append(f"find_all({p!r}) touched {edges} edges for {occ} hits")
-    return bad
-
-
-def all_violations(tree, patterns=()) -> list:
-    """Full per-event sweep used by the verify command."""
-    bad = structural_violations(tree)
-    bad += oracle_violations(tree)
-    bad += pointer_violations(tree, deep=True)
-    bad += counter_violations(tree)
-    if patterns:
-        bad += matching_violations(tree, patterns)
     return bad

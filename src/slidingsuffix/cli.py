@@ -29,7 +29,7 @@ def cmd_stream(args) -> int:
         tree.append(sym)
         appends += 1
         if args.check_every and (i + 1) % args.check_every == 0:
-            bad = checks.all_violations(tree)
+            bad = checks.audit(tree).violations()
             if bad:
                 print(json.dumps({"ok": False, "at_byte": i + 1,
                                   "violations": bad}))
@@ -66,7 +66,9 @@ def cmd_interact(args) -> int:
                 tree.slide(req["sym"])
                 resp = {"ok": True, "tail": tree.tail, "head": tree.head}
             elif op == "query":
-                occ = tree.find_all(req["pattern"]) if req["pattern"] else []
+                # only the empty string is answered without a search; any
+                # other non-text value must reach find_all and be refused
+                occ = tree.find_all(req["pattern"]) if req["pattern"] != "" else []
                 resp = {"occurrences": occ,
                         "absolute": [k + tree.tail - 1 for k in occ]}
             elif op == "stats":

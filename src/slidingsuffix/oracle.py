@@ -1,7 +1,8 @@
 """Brute-force reference implementations used for differential testing.
 
 Everything here is pure, slow, and independent of the incremental tree:
-results are computed directly from the window text by exhaustive scanning.
+results are computed directly from the window text by scanning it or
+sorting its suffixes.
 """
 
 from __future__ import annotations
@@ -36,37 +37,32 @@ def naive_lrs(w) -> int:
     return 0
 
 
-def _extension_sets(w) -> dict:
-    """Map each substring (including the empty one) to its set of following symbols."""
-    ext: dict = {}
-    n = len(w)
-    for i in range(n):
-        for j in range(i, n):
-            key = w[i:j]
-            s = ext.get(key)
-            if s is None:
-                ext[key] = {w[j]}
-            else:
-                s.add(w[j])
-    return ext
-
-
 def naive_suffix_tree(w) -> TreeSketch:
-    """Sketch of the implicit suffix tree of w by direct enumeration.
+    """Sketch of the implicit suffix tree of w, read off its sorted suffixes.
 
-    Internal nodes are exactly the root plus the substrings followed by two
-    or more distinct symbols; leaves are the suffixes occurring exactly
-    once, i.e. those longer than the longest repeating suffix.
+    Suffixes with a common prefix sort next to each other, so comparing
+    each suffix with the next one in sorted order is enough (as in suffix
+    arrays with neighbour LCPs, Manber & Myers 1993; Kasai et al. 2001).
+    When both continue past their common prefix, they continue with two
+    distinct symbols, so that prefix is an internal node; every branching
+    substring shows up this way.  When one is a prefix of the next, it
+    occurs twice.  The longest such suffix is the longest repeating suffix,
+    and leaves are exactly the suffixes longer than it.
     """
-    empty = w[:0]
-    if len(w) == 0:
-        return TreeSketch((empty,), ())
-    ext = _extension_sets(w)
-    internal = [s for s, nxt in ext.items() if len(nxt) >= 2]
-    if empty not in internal:
-        internal.append(empty)
-    leaves = tuple(range(1, len(w) - naive_lrs(w) + 1))
-    return TreeSketch(tuple(sorted(internal)), leaves)
+    n = len(w)
+    internal = {w[:0]}
+    lrs = 0
+    suffixes = sorted(w[i:] for i in range(n))
+    for a, b in zip(suffixes, suffixes[1:]):
+        m = len(a)
+        k = 0
+        while k < m and a[k] == b[k]:
+            k += 1
+        if k < m:
+            internal.add(a[:k])
+        elif m > lrs:
+            lrs = m
+    return TreeSketch(tuple(sorted(internal)), tuple(range(1, n - lrs + 1)))
 
 
 def naive_occurrences(w, p) -> list:

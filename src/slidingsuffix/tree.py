@@ -39,7 +39,7 @@ Symbol = Union[int, str, bytes]
 
 def as_symbol(sym: Symbol) -> int:
     """Accept an int 0..255, a length-1 str, or a length-1 bytes."""
-    if isinstance(sym, int):
+    if isinstance(sym, int) and not isinstance(sym, bool):
         if not 0 <= sym <= 255:
             raise ValueError(f"symbol {sym} outside byte range")
         return sym
@@ -51,11 +51,14 @@ def as_symbol(sym: Symbol) -> int:
 
 
 def as_pattern(pattern) -> bytes:
+    """Accept a str (latin-1), bytes or bytearray; anything else is refused,
+    since ``bytes(n)`` of an int would silently search n zero bytes."""
     if isinstance(pattern, str):
         return pattern.encode("latin-1")
     if isinstance(pattern, (bytes, bytearray)):
         return bytes(pattern)
-    return bytes(bytearray(pattern))
+    raise TypeError(f"pattern must be str, bytes or bytearray, "
+                    f"not {type(pattern).__name__}")
 
 
 class InternalNode:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from . import checks
+from . import checks, oracle
 from .tree import SlidingSuffixTree
 
 
@@ -48,7 +48,6 @@ class VerifyConfig:
     sigma: int = 2
     window: int = 8
     patterns_per_state: int = 4
-    deep: bool = True  # descendant walks in pointer checks
 
 
 @dataclass
@@ -109,17 +108,13 @@ def run_verify(cfg: VerifyConfig) -> VerifyResult:
 
     def sweep() -> list:
         text = trees[0].window_bytes()
-        expected = checks.oracle.naive_suffix_tree(text)
+        expected = oracle.naive_suffix_tree(text)
         pats = sample_patterns(rng, text, trees[0].lrs_len(),
                                cfg.patterns_per_state)
         bad = []
         for tree in trees:
-            prefix = f"[{tree.mode}] "
-            for msg in (checks.structural_violations(tree)
-                        + checks.sketch_violations(tree, expected)
-                        + checks.pointer_violations(tree, deep=cfg.deep)
-                        + checks.counter_violations(tree)):
-                bad.append(prefix + msg)
+            bad.extend(f"[{tree.mode}] " + msg
+                       for msg in checks.audit(tree, expected).violations())
         if pats:
             bad.extend("[plp] " + m
                        for m in checks.matching_violations(trees[0], pats, text))

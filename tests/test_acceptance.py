@@ -69,15 +69,13 @@ def _drive_seed(seed: int, out: SweepOutcome):
         text = plp.window_bytes()
         expected = naive_suffix_tree(text)
         tag = f"seed {seed} event {out.events}: "
-        for tree in (plp, credit):
-            for msg in checks.sketch_violations(tree, expected):
-                out.topology_bad.append(tag + f"[{tree.mode}] " + msg)
-            for msg in checks.edge_freshness_violations(tree):
-                out.fresh_bad.append(tag + f"[{tree.mode}] " + msg)
-        for msg in checks.plp_violations(plp):
-            out.plp_bad.append(tag + msg)
-        for msg in checks.credit_violations(credit):
-            out.credit_bad.append(tag + msg)
+        for tree, pointer_bad in ((plp, out.plp_bad), (credit, out.credit_bad)):
+            found = checks.audit(tree, expected)
+            mode = f"[{tree.mode}] "
+            out.topology_bad.extend(tag + mode + m for m in found.structure + found.topology)
+            out.fresh_bad.extend(tag + mode + m for m in found.freshness)
+            pointer_bad.extend(tag + m for m in found.pointers)
+            out.churn_bad.extend(tag + mode + m for m in found.counters)
         if plp.counters.plp_field_writes_max_event > out.max_plp_writes:
             out.max_plp_writes = plp.counters.plp_field_writes_max_event
         lrs = plp.lrs_len()
@@ -98,11 +96,6 @@ def _drive_seed(seed: int, out: SweepOutcome):
                 p2 = lead.spos - plp.tail + 1
                 overlap = p2 + lrs - 1 >= len(text) - lrs + 1
                 out.case_coverage.add("short-overlap" if overlap else "short-clear")
-    for tree in (plp, credit):
-        if tree.counters.churn() > 4 * tree.window.head:
-            out.churn_bad.append(
-                f"seed {seed}: [{tree.mode}] churn {tree.counters.churn()} "
-                f"exceeds 4 x {tree.window.head}")
 
 
 @pytest.fixture(scope="session")

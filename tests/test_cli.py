@@ -117,6 +117,19 @@ def test_interact_survives_malformed_lines():
     assert "error" in out[3]
 
 
+def test_interact_rejects_non_text_pattern_and_bool_symbol():
+    bad = [2, 0, False, None, []]
+    out = interact([json.dumps({"op": "append", "sym": "a"})]
+                   + [json.dumps({"op": "query", "pattern": p}) for p in bad]
+                   + [json.dumps({"op": "append", "sym": True}),
+                      json.dumps({"op": "query", "pattern": "a"}),
+                      json.dumps({"op": "query", "pattern": ""})])
+    assert out[0]["ok"] is True
+    assert all("error" in r for r in out[1:len(bad) + 2]), out
+    assert out[-2]["occurrences"] == [1]
+    assert out[-1]["occurrences"] == []
+
+
 def test_verify_command_passes(capsys):
     code, (report,) = run_cli(capsys, "verify", "--seed", "1", "--iters", "2000",
                               "--sigma", "2", "--window", "8")

@@ -19,8 +19,7 @@ def test_all_binary_streams_match_oracle_in_both_modes():
                     plp.slide(sym)
                     credit.slide(sym)
                     for tree in (plp, credit):
-                        bad = (checks.oracle_violations(tree)
-                               + checks.pointer_violations(tree, deep=True))
+                        bad = checks.audit(tree).violations()
                         assert not bad, (bytes(bits), cap, tree.mode, bad[:3])
 
 
@@ -47,6 +46,4 @@ def test_fibonacci_and_periodic_streams():
             tree = SlidingSuffixTree(cap, "plp")
             for sym in stream:
                 tree.slide(sym)
-                assert checks.oracle_violations(tree) == []
-                assert checks.plp_violations(tree) == []
-            assert checks.structural_violations(tree) == []
+                assert checks.audit(tree).violations() == []

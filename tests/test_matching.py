@@ -36,6 +36,14 @@ def test_empty_pattern_rejected():
         tree.find_all("")
 
 
+def test_non_text_pattern_rejected():
+    tree = build(b"ab\x00\x00ab\x00\x00")
+    for bad in (2, [0, 0], None):
+        with pytest.raises(TypeError):
+            tree.find_all(bad)
+    assert tree.find_all(b"\x00\x00") == [3, 7]
+
+
 def test_query_on_empty_window():
     tree = SlidingSuffixTree(4)
     assert tree.find_all("a") == []

@@ -1,6 +1,22 @@
+import itertools
+
 from hypothesis import given, strategies as st
 
-from slidingsuffix.oracle import naive_lrs, naive_occurrences, naive_suffix_tree
+from slidingsuffix.oracle import (TreeSketch, naive_lrs, naive_occurrences,
+                                  naive_suffix_tree)
+
+
+def reference_suffix_tree(w) -> TreeSketch:
+    """The sketch by definition: internal nodes are the root plus every
+    substring followed by two or more distinct symbols; leaves are the
+    suffixes longer than the longest repeating one."""
+    ext = {}
+    for i in range(len(w)):
+        for j in range(i, len(w)):
+            ext.setdefault(w[i:j], set()).add(w[j])
+    internal = {s for s, nxt in ext.items() if len(nxt) >= 2} | {w[:0]}
+    return TreeSketch(tuple(sorted(internal)),
+                      tuple(range(1, len(w) - naive_lrs(w) + 1)))
 
 
 def test_lrs_values():
@@ -27,6 +43,22 @@ def test_suffix_tree_sketch_abaab():
     sk = naive_suffix_tree(b"abaab")
     assert sk.internal_strings == (b"", b"a")
     assert sk.leaf_starts == (1, 2, 3)
+
+
+def test_sorted_suffix_oracle_matches_definition_exhaustively():
+    checked = 0
+    for alphabet, longest in ((b"ab", 12), (b"abc", 8)):
+        for n in range(longest + 1):
+            for t in itertools.product(alphabet, repeat=n):
+                w = bytes(t)
+                assert naive_suffix_tree(w) == reference_suffix_tree(w), w
+                checked += 1
+    assert checked == 18032
+
+
+@given(st.binary(max_size=40))
+def test_sorted_suffix_oracle_matches_definition(w):
+    assert naive_suffix_tree(w) == reference_suffix_tree(w)
 
 
 def test_occurrences():

@@ -37,7 +37,7 @@ def test_split_of_primary_edge_keeps_new_node_primary():
     assert node_b is not None and node_b.prim
     new_leaf = node_b.children[ord("c")]
     assert not new_leaf.prim and new_leaf.plp_inv is None
-    assert checks.plp_violations(tree) == []
+    assert checks.audit(tree).pointers == []
 
 
 def test_split_of_secondary_edge_points_new_node_at_new_leaf():
@@ -49,7 +49,7 @@ def test_split_of_secondary_edge_points_new_node_at_new_leaf():
     assert node_a is not None and not node_a.prim
     new_leaf = node_a.children[ord("c")]
     assert new_leaf.prim and node_a.plp is new_leaf and new_leaf.plp_inv is node_a
-    assert checks.plp_violations(tree) == []
+    assert checks.audit(tree).pointers == []
 
 
 # -- deletion case behavior ------------------------------------------------------
@@ -58,7 +58,7 @@ def test_root_points_at_itself_when_tree_empties():
     tree = build("a", capacity=2)
     tree.delete_front()
     assert tree.root.plp is tree.root
-    assert checks.plp_violations(tree) == []
+    assert checks.audit(tree).pointers == []
 
 
 def test_deleting_primary_leaf_under_root_promotes_sibling():
@@ -70,7 +70,7 @@ def test_deleting_primary_leaf_under_root_promotes_sibling():
     assert second.prim
     assert tree.root.plp is second
     assert second.plp_inv is tree.root
-    assert checks.plp_violations(tree) == []
+    assert checks.audit(tree).pointers == []
 
 
 def test_deleting_primary_leaf_under_branching_node_rewires_pointer():
@@ -85,7 +85,7 @@ def test_deleting_primary_leaf_under_branching_node_rewires_pointer():
     assert len(node_a.children) == 2
     target = z.plp
     assert target.children is None and target.plp_inv is z
-    assert checks.plp_violations(tree) == []
+    assert checks.audit(tree).pointers == []
 
 
 def test_merge_of_secondary_parent_restarts_path_at_survivor():
@@ -93,8 +93,8 @@ def test_merge_of_secondary_parent_restarts_path_at_survivor():
     # node "a"; whatever the flags were, the invariants must hold after
     tree = build("axazaz")
     tree.delete_front()
-    assert checks.plp_violations(tree) == []
-    assert checks.structural_violations(tree) == []
+    assert checks.audit(tree).pointers == []
+    assert checks.audit(tree).structure == []
 
 
 # -- queries ---------------------------------------------------------------------
@@ -194,4 +194,4 @@ def test_every_event_costs_at_most_four_writes(stream, cap):
     for sym in stream:
         tree.slide(sym)
         assert tree.counters.plp_field_writes_max_event <= 4
-    assert checks.plp_violations(tree) == []
+    assert checks.audit(tree).pointers == []

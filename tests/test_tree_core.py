@@ -21,7 +21,7 @@ def test_capacity_one_tree():
     tree = SlidingSuffixTree(1, mode="plp")
     tree.append("a")
     assert tree.window_bytes() == b"a"
-    assert checks.sketch(tree).leaf_starts == (1,)
+    assert checks.audit(tree).sketch.leaf_starts == (1,)
 
 
 def test_zero_capacity_rejected():
@@ -43,7 +43,7 @@ def test_modes_build_identical_topology():
             credit.delete_front()
         plp.append(ch)
         credit.append(ch)
-        assert checks.sketch(plp) == checks.sketch(credit)
+        assert checks.audit(plp).sketch == checks.audit(credit).sketch
         assert plp.lrs_len() == credit.lrs_len()
 
 
@@ -51,7 +51,7 @@ def test_modes_build_identical_topology():
 
 def test_append_builds_abaca_tree():
     tree = build("abaca")
-    sk = checks.sketch(tree)
+    sk = checks.audit(tree).sketch
     assert sk.internal_strings == (b"", b"a")
     assert sk.leaf_starts == (1, 2, 3, 4)
     assert tree.lrs_len() == 1
@@ -60,24 +60,33 @@ def test_append_builds_abaca_tree():
 def test_append_to_empty_tree():
     tree = SlidingSuffixTree(3)
     tree.append("q")
-    assert checks.sketch(tree) == naive_suffix_tree(b"q")
+    assert checks.audit(tree).sketch == naive_suffix_tree(b"q")
     assert (tree.ins is tree.root) and tree.proj == 0
 
 
 def test_append_creating_several_leaves_at_once():
     tree = build("aaa", capacity=4)
-    assert checks.sketch(tree).leaf_starts == (1,)
+    assert checks.audit(tree).sketch.leaf_starts == (1,)
     before = tree.counters.leaves_created
     tree.append("b")
     assert tree.counters.leaves_created - before == 3
-    assert checks.sketch(tree).leaf_starts == (1, 2, 3, 4)
-    assert checks.sketch(tree) == naive_suffix_tree(b"aaab")
+    assert checks.audit(tree).sketch.leaf_starts == (1, 2, 3, 4)
+    assert checks.audit(tree).sketch == naive_suffix_tree(b"aaab")
 
 
 def test_append_on_full_window_rejected():
     tree = build("ab", capacity=2)
     with pytest.raises(ValueError):
         tree.append("c")
+
+
+def test_bool_symbol_rejected():
+    tree = build("ab", capacity=4)
+    for bad in (True, False):
+        with pytest.raises(ValueError):
+            tree.append(bad)
+    assert tree.window_bytes() == b"ab"
+    assert tree.find_all(b"\x01") == []
 
 
 def test_every_internal_node_gets_suffix_link():
@@ -126,17 +135,17 @@ def test_delete_keeps_moved_locus_representation():
     assert tree.window_bytes() == b"xazaz"
     assert tree.lrs_len() == 2
     assert tree.ins is tree.root and tree.proj == 2
-    assert checks.sketch(tree) == naive_suffix_tree(b"xazaz")
+    assert checks.audit(tree).sketch == naive_suffix_tree(b"xazaz")
 
 
 def test_delete_then_append_reaches_bacab():
     tree = build("abaca")
     tree.delete_front()
-    assert checks.sketch(tree).leaf_starts == (1, 2, 3)
-    assert checks.sketch(tree) == naive_suffix_tree(b"baca")
+    assert checks.audit(tree).sketch.leaf_starts == (1, 2, 3)
+    assert checks.audit(tree).sketch == naive_suffix_tree(b"baca")
     tree.append("b")
     assert tree.window_bytes() == b"bacab"
-    assert checks.sketch(tree) == naive_suffix_tree(b"bacab")
+    assert checks.audit(tree).sketch == naive_suffix_tree(b"bacab")
 
 
 def test_delete_shortens_leaf_in_place():
@@ -145,7 +154,7 @@ def test_delete_shortens_leaf_in_place():
     before = tree.counters.leaves_deleted
     tree.delete_front()
     assert tree.window_bytes() == b"a"
-    assert checks.sketch(tree).leaf_starts == (1,)  # relabeled, spos now 2
+    assert checks.audit(tree).sketch.leaf_starts == (1,)  # relabeled, spos now 2
     assert tree.lrs_len() == 0
     assert tree.counters.leaves_deleted == before  # no structural churn
     assert tree.counters.leaves_created == 1  # the relabel created nothing
@@ -161,7 +170,7 @@ def test_delete_to_empty_and_refill():
     with pytest.raises(ValueError):
         tree.delete_front()
     tree.append("z")
-    assert checks.sketch(tree) == naive_suffix_tree(b"z")
+    assert checks.audit(tree).sketch == naive_suffix_tree(b"z")
 
 
 # -- queries -------------------------------------------------------------------
@@ -190,7 +199,7 @@ def test_edge_labels_reconstruct_every_edge():
     tree = build("abaab")
     win = tree.window
     expected = naive_suffix_tree(b"abaab")
-    assert checks.sketch(tree) == expected
+    assert checks.audit(tree).sketch == expected
     for node in tree.iter_nodes():
         if node.parent is None:
             continue
@@ -242,15 +251,12 @@ def run_stream(mode, caps, stream, deletes_at):
 def test_tree_matches_oracle_after_every_event(text, cap, deletes_at, mode):
     stream = text.encode()
     for tree in run_stream(mode, cap, stream, deletes_at):
-        assert checks.structural_violations(tree) == []
-        assert checks.oracle_violations(tree) == []
-        assert checks.pointer_violations(tree, deep=True) == []
-        assert checks.counter_violations(tree) == []
+        assert checks.audit(tree).violations() == []
 
 
 def test_leaf_set_is_exactly_the_long_suffixes():
     tree = build("abracadabra")
-    sk = checks.sketch(tree)
+    sk = checks.audit(tree).sketch
     lrs = tree.lrs_len()
     assert sk.leaf_starts == tuple(range(1, len(tree) - lrs + 1))
 
