@@ -1,9 +1,8 @@
 """Suffix tree over a sliding byte window with O(1) leaf-pointer upkeep."""
 
 from .window import TextWindow
-from .tree import SlidingSuffixTree, Counters, MODES
+from .tree import SlidingSuffixTree, Counters, InvariantError, MODES
 from .matching import find_all, locate, collect_subtree_leaves
-from .plp import fresh_index_pair, plp_query
 from .oracle import naive_lrs, naive_suffix_tree, naive_occurrences, TreeSketch
 from .verify import Lcg, VerifyConfig, run_verify, run_worstcase
 
@@ -13,12 +12,11 @@ __all__ = [
     "TextWindow",
     "SlidingSuffixTree",
     "Counters",
+    "InvariantError",
     "MODES",
     "find_all",
     "locate",
     "collect_subtree_leaves",
-    "fresh_index_pair",
-    "plp_query",
     "naive_lrs",
     "naive_suffix_tree",
     "naive_occurrences",

@@ -14,40 +14,49 @@ from __future__ import annotations
 
 
 class CreditMaintenance:
-    """Hook implementation installed on trees in ``"credit"`` mode."""
+    """Hook implementation installed on trees in ``"credit"`` mode.
+
+    A new internal node starts with ``lp = 0`` and no credit, so the
+    `update` for the leaf attached under it in the same event stores that
+    leaf's start.
+    """
 
     def __init__(self, tree):
         self.tree = tree
+        self.counters = tree.counters
 
     def leaf_for(self, node):
         leaf = self.tree.leaf_at(node.lp)
-        assert leaf is not None, "stored leaf pointer went stale"
+        if leaf is None:
+            from .tree import InvariantError
+            raise InvariantError(f"stored leaf start {node.lp} went stale")
         return leaf
 
     def update(self, v, k):
         """Record that leaf(k) lives below v, cascading while credits allow.
 
         Each handled node counts as one update call; the terminating call
-        on a missing parent is free.
+        on a missing parent is free.  A leaf event makes at most one
+        `update`, so its count is the event's count.
         """
-        counters = self.tree.counters
+        n = 0
         while v is not None:
-            counters.bump_credit_call()
+            n += 1
             if k > v.lp:
                 v.lp = k
             if v.cred == 0:
                 v.cred = 1
-                return
+                break
             v.cred = 0
             k = v.lp
             v = v.parent
+        if n:
+            c = self.counters
+            c.credit_update_calls_total += n
+            if n > c.credit_update_calls_max_event:
+                c.credit_update_calls_max_event = n
 
-    # -- hooks ---------------------------------------------------------------
-
-    def on_internal_created(self, w, upcoming_spos):
-        # the leaf about to be attached under w is its first known descendant
-        w.lp = upcoming_spos
-        w.cred = 0
+    # -- leaf events -----------------------------------------------------------
 
     def on_leaf_inserted(self, u, w, split_child):
         self.update(w, u.spos)
@@ -57,8 +66,7 @@ class CreditMaintenance:
         self.update(w, u.spos)
 
     def on_leaf_deleting(self, u, w):
-        pass
-
-    def on_internal_deleting(self, w):
-        if w.cred:
+        # a non-root w left with one child merges away; a credit it holds
+        # passes to its parent so no information is lost
+        if w.cred and len(w.children) == 2 and w.parent is not None:
             self.update(w.parent, w.lp)

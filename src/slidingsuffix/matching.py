@@ -94,7 +94,7 @@ def find_all(tree, pattern):
 
 def find_all_counted(tree, pattern):
     """Like `find_all`, also returning the number of tree edges touched."""
-    from .tree import as_pattern
+    from .tree import InvariantError, as_pattern
 
     p = as_pattern(pattern)
     if not p:
@@ -121,7 +121,9 @@ def find_all_counted(tree, pattern):
         lead = below if below.children is None else tree.leafptr(below)
         p2 = lead.spos - win.tail + 1
         q2 = p2 + lrs - 1
-        assert p2 < p1, "leaf below the lrs locus must start strictly earlier"
+        if p2 >= p1:
+            raise InvariantError(f"leaf {p2} below the lrs locus must start "
+                                 f"before {p1}")
         if q2 < p1:
             shift = p1 - p2
             for k in hits:

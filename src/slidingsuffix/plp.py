@@ -29,10 +29,16 @@ def _secondary_child(w):
 
 
 class PlpMaintenance:
-    """Hook implementation installed on trees in ``"plp"`` mode."""
+    """Hook implementation installed on trees in ``"plp"`` mode.
+
+    Each leaf event calls exactly one hook, and every pointer write of the
+    scheme happens inside it.  The hook adds its own write count to the
+    counters once, so that count is the event's count.
+    """
 
     def __init__(self, tree):
         self.tree = tree
+        self.counters = tree.counters
 
     # -- queries -----------------------------------------------------------
 
@@ -52,18 +58,16 @@ class PlpMaintenance:
             return y
         return y.plp
 
-    # -- insertion hooks -----------------------------------------------------
-
-    def on_internal_created(self, w, upcoming_spos):
-        pass  # flags are decided by on_leaf_inserted for the same event
+    # -- leaf events ---------------------------------------------------------
 
     def on_leaf_inserted(self, u, w, split_child):
         """Restore the invariants after attaching leaf u under w.
 
         ``split_child`` is the old child that was pushed below w when w was
-        created by splitting an edge (None when w already existed).
+        created by splitting an edge (None when w already existed).  A new
+        node starts secondary and pointing nowhere, so its flags are decided
+        here.
         """
-        c = self.tree.counters
         if split_child is None:
             if len(w.children) == 1:
                 # w had no child, which only happens at the root: u starts
@@ -71,106 +75,91 @@ class PlpMaintenance:
                 u.prim = True
                 w.plp = u
                 u.plp_inv = w
-                c.bump_plp_writes(3)
+                n = 3
             else:
                 # u opens a fresh path of its own
                 u.prim = False
-                c.bump_plp_writes(1)
+                n = 1
+        elif split_child.prim:
+            # w landed on a primary path; it joins that path and the new
+            # leaf starts its own
+            w.prim = True
+            u.prim = False
+            n = 2
         else:
-            y = split_child
-            if y.prim:
-                # w landed on a primary path; it joins that path and the new
-                # leaf starts its own
-                w.prim = True
-                u.prim = False
-                c.bump_plp_writes(2)
-            else:
-                # w heads a new path ending at the new leaf; y keeps its own
-                w.prim = False
-                u.prim = True
-                w.plp = u
-                u.plp_inv = w
-                c.bump_plp_writes(4)
+            # w heads a new path ending at the new leaf; the old child keeps
+            # its own
+            w.prim = False
+            u.prim = True
+            w.plp = u
+            u.plp_inv = w
+            n = 4
+        c = self.counters
+        c.plp_field_writes_total += n
+        if n > c.plp_field_writes_max_event:
+            c.plp_field_writes_max_event = n
 
     def on_leaf_shortened(self, u, w):
         # an in-place relabel keeps tree shape and leaf identity, so every
         # pointer stays valid without a single write
         pass
 
-    # -- deletion hooks ------------------------------------------------------
-
     def on_leaf_deleting(self, u, w):
         """Restore the invariants before leaf u detaches from w.
 
         Called while u is still attached; the caller afterwards removes u
-        and, if w is a non-root node left with one child, merges w away.
+        and, if w is a non-root node left with one child, merges w away,
+        which needs no repair beyond the case analysis here.
         """
-        c = self.tree.counters
-        root = self.tree.root
-        if w is root:
-            if u.prim:
-                if len(w.children) == 1:
-                    # the tree empties: the root points at itself again
-                    w.plp = w
-                    c.bump_plp_writes(1)
-                else:
-                    # promote some secondary sibling to carry the root's path
-                    y = _secondary_child(w)
-                    v = y if y.children is None else y.plp
-                    y.prim = True
-                    w.plp = v
-                    v.plp_inv = w
-                    c.bump_plp_writes(3)
-            # a secondary leaf under the root just takes its path with it
-        else:
-            if u.prim:
-                if len(w.children) > 2 or w.prim:
-                    # the path through u survives above w (or above the merged
-                    # edge): reroute it through a promoted sibling
-                    y = _secondary_child(w)
-                    v = y if y.children is None else y.plp
-                    z = u.plp_inv
-                    y.prim = True
-                    z.plp = v
-                    v.plp_inv = z
-                    c.bump_plp_writes(3)
-                # otherwise w is secondary with two children: the path started
-                # at w, and both w and u disappear together
+        if w is self.tree.root:
+            if not u.prim:
+                return  # a secondary leaf under the root takes its path with it
+            if len(w.children) == 1:
+                # the tree empties: the root points at itself again
+                w.plp = w
+                n = 1
             else:
-                if len(w.children) == 2 and not w.prim:
-                    # w merges away and its path must restart at the surviving
-                    # child, which had been primary
-                    y = next(ch for ch in w.children.values() if ch is not u)
-                    v = w.plp
-                    y.prim = False
-                    if y.children is None:
-                        y.plp_inv = None  # a secondary leaf points at itself
-                        c.bump_plp_writes(2)
-                    else:
-                        y.plp = v
-                        v.plp_inv = y
-                        c.bump_plp_writes(3)
-                # a secondary leaf under a surviving (or primary) parent needs
-                # no repair at all
-
-    def on_internal_deleting(self, w):
-        pass  # covered by on_leaf_deleting's case analysis
-
-
-def plp_query(tree, node):
-    """Leaf-pointer query: a live descendant leaf of node (itself for leaves)."""
-    return tree.leafptr(node)
-
-
-def fresh_index_pair(tree, u, v):
-    """Strongly fresh index pair for the edge u -> v (v internal).
-
-    Follows the leaf pointer below v to a live leaf starting at k; since
-    that whole suffix is inside the window, <k + depth(u), k + depth(v) - 1>
-    spells the edge label and even the preceding occurrence of u's string
-    (from position k) is still in the window.
-    """
-    if v.parent is not u:
-        raise ValueError("no edge from u to v")
-    k = tree.leafptr(v).spos
-    return k + u.depth, k + v.depth - 1
+                # promote some secondary sibling to carry the root's path
+                y = _secondary_child(w)
+                v = y if y.children is None else y.plp
+                y.prim = True
+                w.plp = v
+                v.plp_inv = w
+                n = 3
+        elif u.prim:
+            if len(w.children) == 2 and not w.prim:
+                # w is secondary with two children: the path started at w,
+                # and both w and u disappear together
+                return
+            # the path through u survives above w (or above the merged
+            # edge): reroute it through a promoted sibling
+            y = _secondary_child(w)
+            v = y if y.children is None else y.plp
+            z = u.plp_inv
+            y.prim = True
+            z.plp = v
+            v.plp_inv = z
+            n = 3
+        elif len(w.children) == 2 and not w.prim:
+            # w merges away and its path must restart at the surviving
+            # child, which had been primary
+            for y in w.children.values():
+                if y is not u:
+                    break
+            y.prim = False
+            if y.children is None:
+                y.plp_inv = None  # a secondary leaf points at itself
+                n = 2
+            else:
+                v = w.plp
+                y.plp = v
+                v.plp_inv = y
+                n = 3
+        else:
+            # a secondary leaf under a surviving (or primary) parent needs
+            # no repair at all
+            return
+        c = self.counters
+        c.plp_field_writes_total += n
+        if n > c.plp_field_writes_max_event:
+            c.plp_field_writes_max_event = n

@@ -61,13 +61,22 @@ def as_pattern(pattern) -> bytes:
                     f"not {type(pattern).__name__}")
 
 
+class InvariantError(AssertionError):
+    """An internal invariant of the tree broke.
+
+    Raised explicitly rather than by ``assert``, so the check survives
+    ``python -O``; it subclasses AssertionError so audits that treat a
+    failed assertion as a finding keep catching it.
+    """
+
+
 class InternalNode:
     """Branching node.  ``children`` maps edge first symbol -> child."""
 
     __slots__ = ("parent", "children", "suffix_link", "depth", "in_key",
-                 "prim", "plp", "cred", "lp", "uid")
+                 "prim", "plp", "cred", "lp")
 
-    def __init__(self, parent, depth, in_key, uid):
+    def __init__(self, parent, depth, in_key):
         self.parent = parent
         self.children = {}
         self.suffix_link = None
@@ -77,64 +86,47 @@ class InternalNode:
         self.plp = None       # leaf reached along primary edges; secondary nodes only
         self.cred = 0
         self.lp = 0           # start of a descendant leaf; credit mode only
-        self.uid = uid
 
     def __repr__(self):
-        return f"<node {self.uid} depth={self.depth}>"
+        return f"<node depth={self.depth} in_key={self.in_key}>"
 
 
 class LeafNode:
     """Leaf for the suffix starting at ``spos``; its label runs to the window head."""
 
-    __slots__ = ("parent", "spos", "in_key", "prim", "plp_inv", "uid")
+    __slots__ = ("parent", "spos", "in_key", "prim", "plp_inv")
 
     children = None  # shared marker so `node.children is None` tests leafness
 
-    def __init__(self, parent, spos, in_key, uid):
+    def __init__(self, parent, spos, in_key):
         self.parent = parent
         self.spos = spos
         self.in_key = in_key
         self.prim = False
         self.plp_inv = None   # secondary node whose pointer targets this leaf
-        self.uid = uid
 
     def __repr__(self):
-        return f"<leaf {self.uid} spos={self.spos}>"
+        return f"<leaf spos={self.spos}>"
 
 
-@dataclass
+@dataclass(slots=True)
 class Counters:
-    """Instrumentation.  ``*_last_event`` fields reset at the start of each
-    single leaf insertion or deletion; ``*_total``/``*_max_event`` accumulate
-    over the tree's lifetime (see `reset_event_maxima`)."""
+    """Instrumentation, accumulated over the tree's lifetime.
+
+    A leaf event (one leaf insertion, deletion or shortening) makes at most
+    one maintenance hook call, and that call adds its own count to
+    ``*_total`` and raises ``*_max_event`` (see `reset_event_maxima`).
+    """
 
     explicit_extensions: int = 0
     nodes_created: int = 0
     nodes_deleted: int = 0
     leaves_created: int = 0
     leaves_deleted: int = 0
-    plp_field_writes_last_event: int = 0
     plp_field_writes_total: int = 0
     plp_field_writes_max_event: int = 0
-    credit_update_calls_last_event: int = 0
     credit_update_calls_total: int = 0
     credit_update_calls_max_event: int = 0
-
-    def begin_leaf_event(self):
-        self.plp_field_writes_last_event = 0
-        self.credit_update_calls_last_event = 0
-
-    def bump_plp_writes(self, n: int):
-        self.plp_field_writes_last_event += n
-        self.plp_field_writes_total += n
-        if self.plp_field_writes_last_event > self.plp_field_writes_max_event:
-            self.plp_field_writes_max_event = self.plp_field_writes_last_event
-
-    def bump_credit_call(self):
-        self.credit_update_calls_last_event += 1
-        self.credit_update_calls_total += 1
-        if self.credit_update_calls_last_event > self.credit_update_calls_max_event:
-            self.credit_update_calls_max_event = self.credit_update_calls_last_event
 
     def reset_event_maxima(self):
         """Forget per-event maxima (used to isolate a critical event)."""
@@ -158,8 +150,7 @@ class SlidingSuffixTree:
         self.window = TextWindow(capacity)
         self.mode = mode
         self.counters = Counters()
-        self._uid = 0
-        self.root = InternalNode(parent=None, depth=0, in_key=None, uid=self._next_uid())
+        self.root = InternalNode(parent=None, depth=0, in_key=None)
         self.ins = self.root
         self.proj = 0
         self._leaf_slots: list = [None] * capacity
@@ -244,32 +235,33 @@ class SlidingSuffixTree:
         exist, so only first symbols are examined.
         """
         proj = self.proj
+        ins = self.ins
         if proj == 0:
-            return self.ins
+            return ins
         win = self.window
         buf = win.buf
         cap = win.capacity
         head = win.head
-        ins = self.ins
         while True:
             child = ins.children[buf[(head - proj) % cap]]
             if child.children is None:
-                edge_len = head - child.spos + 1 - ins.depth
-            else:
-                edge_len = child.depth - ins.depth
+                # landing on or past a leaf end would make the tracked suffix
+                # non-repeating, so the locus must lie inside the leaf edge
+                if proj < head - child.spos + 1 - ins.depth:
+                    break
+                raise InvariantError(f"active point descends past the end of "
+                                     f"leaf {child.spos}")
+            edge_len = child.depth - ins.depth
             if proj < edge_len:
-                self.ins = ins
-                self.proj = proj
-                return child
-            # landing exactly on a leaf end would make the tracked suffix
-            # non-repeating, so a full descent always enters an internal node
-            assert child.children is not None
+                break
             ins = child
             proj -= edge_len
             if proj == 0:
-                self.ins = ins
-                self.proj = 0
-                return ins
+                child = ins
+                break
+        self.ins = ins
+        self.proj = proj
+        return child
 
     # -- mutation ---------------------------------------------------------
 
@@ -279,56 +271,90 @@ class SlidingSuffixTree:
         Runs sub-iterations from the current active point: each one either
         finds the extended suffix already present (and stops) or inserts a
         new leaf, splitting an edge when the locus is mid-edge, then drops
-        to the next shorter suffix via a suffix link.
+        to the next shorter suffix via a suffix link.  The active point
+        lives in locals and is stored back only around `canonize` and at
+        the end.
         """
         if type(sym) is not int or not 0 <= sym <= 255:
             sym = as_symbol(sym)
         win = self.window
-        if win.head - win.tail + 1 >= win.capacity:
-            raise ValueError("window is full; delete_front before appending")
-        counters = self.counters
-        maint = self.maint
-        buf = win.buf
+        head = win.head
         cap = win.capacity
-        old_head = win.head
+        if head - win.tail + 1 >= cap:
+            raise ValueError("window is full; delete_front before appending")
+        buf = win.buf
+        slots = self._leaf_slots
+        maint = self.maint
+        root = self.root
+        ins = self.ins
+        proj = self.proj
+        extensions = nodes = leaves = 0
         v = None  # node created/used last sub-iteration, owed a suffix link
         while True:
-            counters.explicit_extensions += 1
-            below = self.canonize() if self.proj else self.ins
-            if self.proj == 0:
-                target = self.ins
-                if sym in target.children:
+            extensions += 1
+            if proj:
+                self.ins = ins
+                self.proj = proj
+                below = self.canonize()
+                ins = self.ins
+                proj = self.proj
+            if proj == 0:
+                if sym in ins.children:
                     if v is not None:
-                        v.suffix_link = target
-                    self.proj = 1
+                        v.suffix_link = ins
+                    proj = 1
                     break
-                counters.begin_leaf_event()
-                w = target
+                w = ins
                 split_child = None
             else:
-                edge_start = self._edge_start(below)
-                if buf[(edge_start + self.proj - 1) % cap] == sym:
+                if below.children is None:
+                    edge_start = below.spos + ins.depth
+                else:
+                    edge_start = maint.leaf_for(below).spos + ins.depth
+                mid = buf[(edge_start + proj - 1) % cap]
+                if mid == sym:
                     # extended suffix already present mid-edge; had a node
                     # been created last sub-iteration this locus would be a
                     # node, so no suffix link can be pending
-                    assert v is None
-                    self.proj += 1
+                    if v is not None:
+                        raise InvariantError("suffix link pending at a mid-edge locus")
+                    proj += 1
                     break
-                counters.begin_leaf_event()
-                w = self._split_edge(below, edge_start)
+                # split the edge ins -> below at the locus
+                key = below.in_key
+                w = InternalNode(ins, ins.depth + proj, key)
+                ins.children[key] = w
+                w.children[mid] = below
+                below.in_key = mid
+                below.parent = w
+                nodes += 1
                 split_child = below
-            u = self._new_leaf(old_head + 1 - w.depth, w, sym)
+            spos = head + 1 - w.depth
+            u = LeafNode(w, spos, sym)
+            w.children[sym] = u
+            slot = (spos - 1) % cap
+            if slots[slot] is not None:
+                raise InvariantError(f"leaf slot of start {spos} is taken")
+            slots[slot] = u
+            leaves += 1
             maint.on_leaf_inserted(u, w, split_child)
             if v is not None:
                 v.suffix_link = w
-            if w is self.root:
+            if w is root:
                 break
             v = w
-            if self.ins is self.root:
-                self.proj -= 1  # shed the first symbol of the tracked suffix
+            if ins is root:
+                proj -= 1  # shed the first symbol of the tracked suffix
             else:
-                self.ins = self.ins.suffix_link
-        win.push(sym)
+                ins = ins.suffix_link
+        self.ins = ins
+        self.proj = proj
+        counters = self.counters
+        counters.explicit_extensions += extensions
+        counters.nodes_created += nodes
+        counters.leaves_created += leaves
+        buf[head % cap] = sym
+        win.head = head + 1
 
     def delete_front(self) -> None:
         """Remove the oldest window symbol, updating the tree online.
@@ -340,29 +366,43 @@ class SlidingSuffixTree:
         non-branching, the two surrounding edges merge.
         """
         win = self.window
-        if win.head < win.tail:
+        tail = win.tail
+        if win.head < tail:
             raise ValueError("window is empty")
-        self.counters.begin_leaf_event()
-        below = self.canonize()
-        u = self._leaf_slots[(win.tail - 1) % win.capacity]
+        below = self.canonize() if self.proj else None
+        cap = win.capacity
+        slots = self._leaf_slots
+        slot = (tail - 1) % cap
+        u = slots[slot]
         w = u.parent
         if u is below:
-            # the departing prefix and the repeating suffix share this edge
-            new_spos = win.head - (self.ins.depth + self.proj) + 1
-            self._relabel_leaf(u, new_spos)
+            # the departing prefix and the repeating suffix share this edge:
+            # move the leaf, keeping its identity, to the lrs occurrence
+            ins = self.ins
+            new_spos = win.head - (ins.depth + self.proj) + 1
+            new_slot = (new_spos - 1) % cap
+            if slots[new_slot] is not None:
+                raise InvariantError(f"leaf slot of start {new_spos} is taken")
+            slots[slot] = None
+            slots[new_slot] = u
+            u.spos = new_spos
             self.maint.on_leaf_shortened(u, w)
-            if self.ins is self.root:
+            if ins is self.root:
                 self.proj -= 1
             else:
-                self.ins = self.ins.suffix_link
+                self.ins = ins.suffix_link
         else:
             self.maint.on_leaf_deleting(u, w)
-            del w.children[u.in_key]
-            self._drop_leaf(u)
-            if w is not self.root and len(w.children) == 1:
-                y = next(iter(w.children.values()))
+            children = w.children
+            del children[u.in_key]
+            slots[slot] = None
+            u.parent = None
+            u.plp_inv = None
+            counters = self.counters
+            counters.leaves_deleted += 1
+            if len(children) == 1 and w is not self.root:
+                y = next(iter(children.values()))
                 x = w.parent
-                self.maint.on_internal_deleting(w)
                 if self.ins is w:
                     # the locus representation counted from w; re-anchor it
                     self.proj += w.depth - x.depth
@@ -372,16 +412,17 @@ class SlidingSuffixTree:
                 y.parent = x
                 # every live reference into w was repaired above; severing its
                 # own references frees it immediately, without cycle collection
-                w.children.clear()
+                children.clear()
                 w.parent = None
                 w.suffix_link = None
                 w.plp = None
-                self.counters.nodes_deleted += 1
-        win.pop()
+                counters.nodes_deleted += 1
+        win.tail = tail + 1
 
     def slide(self, sym: Symbol) -> None:
         """Append, first deleting the front symbol if the window is full."""
-        if self.window.full:
+        win = self.window
+        if win.head - win.tail + 1 >= win.capacity:
             self.delete_front()
         self.append(sym)
 
@@ -394,52 +435,3 @@ class SlidingSuffixTree:
     def find_all(self, pattern) -> list:
         """All window-relative start positions of pattern in the window."""
         return matching.find_all(self, pattern)
-
-    # -- internals ----------------------------------------------------------
-
-    def _next_uid(self) -> int:
-        self._uid += 1
-        return self._uid
-
-    def _edge_start(self, node) -> int:
-        """Absolute start of the label of the edge entering node (its pos)."""
-        if node.children is None:
-            return node.spos + node.parent.depth
-        return self.leafptr(node).spos + node.parent.depth
-
-    def _split_edge(self, below, edge_start: int) -> InternalNode:
-        """Split the edge ins -> below at the active point; returns the new node."""
-        ins = self.ins
-        w = InternalNode(parent=ins, depth=ins.depth + self.proj,
-                         in_key=below.in_key, uid=self._next_uid())
-        ins.children[w.in_key] = w
-        mid = self.window.symbol_at(edge_start + self.proj)
-        w.children[mid] = below
-        below.in_key = mid
-        below.parent = w
-        self.counters.nodes_created += 1
-        self.maint.on_internal_created(w, self.window.head + 1 - w.depth)
-        return w
-
-    def _new_leaf(self, spos: int, parent: InternalNode, key: int) -> LeafNode:
-        u = LeafNode(parent=parent, spos=spos, in_key=key, uid=self._next_uid())
-        parent.children[key] = u
-        slot = (spos - 1) % self.window.capacity
-        assert self._leaf_slots[slot] is None
-        self._leaf_slots[slot] = u
-        self.counters.leaves_created += 1
-        return u
-
-    def _relabel_leaf(self, u: LeafNode, new_spos: int) -> None:
-        cap = self.window.capacity
-        self._leaf_slots[(u.spos - 1) % cap] = None
-        slot = (new_spos - 1) % cap
-        assert self._leaf_slots[slot] is None
-        self._leaf_slots[slot] = u
-        u.spos = new_spos
-
-    def _drop_leaf(self, u: LeafNode) -> None:
-        self._leaf_slots[(u.spos - 1) % self.window.capacity] = None
-        u.parent = None
-        u.plp_inv = None
-        self.counters.leaves_deleted += 1

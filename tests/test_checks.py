@@ -1,9 +1,12 @@
 """Corruption tests for `checks.audit`: each breaks one field of a sound
 tree and expects the finding in the family that owns that invariant."""
 
+import json
+
 import pytest
 
-from slidingsuffix import checks
+from slidingsuffix import checks, cli, oracle
+from slidingsuffix.verify import Lcg
 
 from conftest import build
 
@@ -118,3 +121,56 @@ def test_credit_pointer_outside_the_subtree_is_a_pointer_finding():
                 assert_reported(tree, "pointers", node, "lp", leaf.spos)
                 checked += 1
     assert checked
+
+
+def capped_oracle(monkeypatch, cap):
+    """Make the oracle fail for any window above ``cap``; returns the call log."""
+    real = oracle.naive_suffix_tree
+    calls = []
+
+    def guarded(w):
+        calls.append(len(w))
+        if len(w) > cap:
+            raise AssertionError(f"oracle built for a window of {len(w)} > {cap}")
+        return real(w)
+
+    monkeypatch.setattr(oracle, "naive_suffix_tree", guarded)
+    return calls
+
+
+def test_oracle_runs_up_to_the_cap_only(monkeypatch):
+    monkeypatch.setattr(checks, "ORACLE_MAX_WINDOW", 8)
+    calls = capped_oracle(monkeypatch, 8)
+    at_cap = build("abcabdab", capacity=8)
+    assert checks.audit(at_cap).violations() == [] and calls == [8]
+    above = build("abcabdabc", capacity=9)
+    found = checks.audit(above)
+    assert calls == [8] and found.topology == [] and found.violations() == []
+
+
+def test_corruption_above_the_cap_is_reported_without_the_oracle(monkeypatch):
+    capped_oracle(monkeypatch, checks.ORACLE_MAX_WINDOW)
+    window = checks.ORACLE_MAX_WINDOW + 8
+    rng = Lcg(5)
+    tree = build(bytes(97 + rng.draw(4) for _ in range(window + 100)), capacity=window)
+    assert len(tree) > checks.ORACLE_MAX_WINDOW
+    assert checks.audit(tree).violations() == []
+    leaf = next(n for n in leaves(tree) if n.prim and n.plp_inv is not tree.root)
+    leaf.plp_inv = tree.root
+    found = checks.audit(tree)
+    assert found.topology == []
+    assert f"stale inverse pointer on leaf {leaf.spos}" in found.pointers
+
+
+def test_stream_checks_above_the_cap_without_the_oracle(monkeypatch, tmp_path, capsys):
+    calls = capped_oracle(monkeypatch, checks.ORACLE_MAX_WINDOW)
+    rng = Lcg(6)
+    path = tmp_path / "noise.bin"
+    path.write_bytes(bytes(97 + rng.draw(4) for _ in range(checks.ORACLE_MAX_WINDOW + 600)))
+    code = cli.main(["stream", str(path), "--window", str(checks.ORACLE_MAX_WINDOW + 256),
+                     "--check-every", "1536"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["bytes"] == checks.ORACLE_MAX_WINDOW + 600
+    # the checks at 1536 and 3072 bytes build the oracle; the one at 4608,
+    # with 4352 symbols in the window, does not
+    assert calls == [1536, 3072]

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from slidingsuffix import cli
 from slidingsuffix.cli import main
 
 
@@ -41,6 +42,34 @@ def test_stream_empty_file(tmp_path, capsys):
     assert code == 0
     assert report["appends"] == 0 and report["deletes"] == 0
     assert report["leaves_created"] == 0
+
+
+def test_stream_reads_standard_input(tmp_path, capsys):
+    data = b"abcabcababababcbcbca" * 5
+    path = tmp_path / "t.bin"
+    path.write_bytes(data)
+    _, (from_file,) = run_cli(capsys, "stream", str(path), "--window", "6")
+    proc = subprocess.run(
+        [sys.executable, "-m", "slidingsuffix", "stream", "-", "--window", "6",
+         "--check-every", "7"],
+        input=data, capture_output=True, check=True)
+    (from_stdin,) = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert from_stdin["file"] == "-" and from_stdin["bytes"] == len(data)
+    for report in (from_file, from_stdin):
+        del report["file"], report["elapsed_s"]
+    assert from_stdin == from_file
+
+
+def test_stream_chunks_do_not_change_the_result(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "t.bin"
+    path.write_bytes(b"abacabacabbabacab")
+    _, (whole,) = run_cli(capsys, "stream", str(path), "--window", "5",
+                          "--check-every", "2")
+    monkeypatch.setattr(cli, "STREAM_CHUNK", 3)
+    _, (chunked,) = run_cli(capsys, "stream", str(path), "--window", "5",
+                            "--check-every", "2")
+    del whole["elapsed_s"], chunked["elapsed_s"]
+    assert chunked == whole and whole["deletes"] == 12
 
 
 def test_stream_missing_file_fails(tmp_path, capsys):

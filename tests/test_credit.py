@@ -20,10 +20,10 @@ def test_update_without_credit_stops_immediately():
     root = tree.root
     root.cred = 0
     root.lp = 3
-    tree.counters.begin_leaf_event()
+    tree.counters.reset_event_maxima()
     tree.maint.update(root, 5)
     assert root.lp == 5 and root.cred == 1
-    assert tree.counters.credit_update_calls_last_event == 1
+    assert tree.counters.credit_update_calls_max_event == 1
 
 
 def test_update_keeps_larger_stored_start():
@@ -53,6 +53,26 @@ def test_deleted_node_without_credit_stays_silent():
     before = tree.counters.credit_update_calls_total
     tree.delete_front()  # merges the node away
     assert tree.counters.credit_update_calls_total == before
+
+
+def test_deleted_node_with_credit_passes_its_pointer_up():
+    tree = build("axazaz", mode="credit")
+    node = tree.root.children[ord("a")]
+    assert len(node.children) == 2
+    root = tree.root
+    root.cred = 0
+    node.cred = 1  # the merge must hand this credit, and node.lp, to the root
+    root.lp = 0
+    lp = node.lp
+    assert tree.leaf_at(lp) is not None
+    before = tree.counters.credit_update_calls_total
+    tree.counters.reset_event_maxima()
+    tree.delete_front()  # merges the node away
+    assert node.parent is None
+    assert root.lp == lp and root.cred == 1
+    assert tree.counters.credit_update_calls_total == before + 1
+    assert tree.counters.credit_update_calls_max_event == 1
+    assert checks.audit(tree).pointers == []
 
 
 def test_insertion_chain_reaches_every_ancestor():

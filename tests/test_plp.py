@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slidingsuffix import SlidingSuffixTree, fresh_index_pair, plp_query
+from slidingsuffix import SlidingSuffixTree
 from slidingsuffix import checks
 from slidingsuffix.verify import Lcg
 
@@ -12,20 +12,23 @@ from conftest import build, node_by_string
 
 def test_first_leaf_becomes_primary_root_target():
     tree = SlidingSuffixTree(4)
+    tree.counters.reset_event_maxima()
     tree.append("a")
     leaf = tree.root.children[ord("a")]
     assert leaf.prim
     assert tree.root.plp is leaf
     assert leaf.plp_inv is tree.root
-    assert tree.counters.plp_field_writes_last_event <= 4
+    assert tree.counters.plp_field_writes_max_event <= 4
 
 
 def test_second_leaf_under_root_stays_secondary():
-    tree = build("ab")
+    tree = build("a", capacity=2)
+    tree.counters.reset_event_maxima()
+    tree.append("b")
     second = tree.root.children[ord("b")]
     assert not second.prim
     assert second.plp_inv is None  # self-pointer kept implicit
-    assert tree.counters.plp_field_writes_last_event <= 4
+    assert tree.counters.plp_field_writes_max_event <= 4
 
 
 def test_split_of_primary_edge_keeps_new_node_primary():
@@ -104,19 +107,19 @@ def test_pointer_queries_across_two_iterations():
     # branching node queries resolve to leaves 1 and 3, then 3 and 5
     tree = build("abaca", capacity=5)
     node_a = node_by_string(tree, "a")
-    assert plp_query(tree, tree.root).spos == 1
-    assert plp_query(tree, node_a).spos == 3
+    assert tree.leafptr(tree.root).spos == 1
+    assert tree.leafptr(node_a).spos == 3
     tree.delete_front()
     tree.append("b")
     node_a2 = node_by_string(tree, "a")
-    assert plp_query(tree, tree.root).spos == 3
-    assert plp_query(tree, node_a2).spos == 5
+    assert tree.leafptr(tree.root).spos == 3
+    assert tree.leafptr(node_a2).spos == 5
 
 
 def test_secondary_leaf_answers_itself():
     tree = build("ab")
     second = tree.root.children[ord("b")]
-    assert plp_query(tree, second) is second
+    assert tree.leafptr(second) is second
 
 
 def test_query_returns_in_window_descendant_over_long_stream():
@@ -127,7 +130,7 @@ def test_query_returns_in_window_descendant_over_long_stream():
         for node in tree.iter_nodes():
             if node.children is None or not node.children:
                 continue
-            leaf = plp_query(tree, node)
+            leaf = tree.leafptr(node)
             assert tree.tail <= leaf.spos <= tree.head
             cur = leaf
             while cur is not None and cur is not node:
@@ -142,7 +145,7 @@ def test_fresh_pair_for_deep_edge():
     u = node_by_string(tree, "abc")
     v = node_by_string(tree, "abcyy")
     assert u is not None and v is not None and v.parent is u
-    lo, hi = fresh_index_pair(tree, u, v)
+    lo, hi = tree.edge_label(v)
     k = tree.leafptr(v).spos
     assert (lo, hi) == (k + 3, k + 4)
     assert tree.window.substring(lo, hi) == b"yy"
@@ -155,16 +158,15 @@ def test_fresh_pair_below_root_starts_at_leaf():
     tree = build("abxaby")
     v = node_by_string(tree, "ab")
     assert v is not None and v.parent is tree.root
-    lo, hi = fresh_index_pair(tree, tree.root, v)
+    lo, hi = tree.edge_label(v)
     assert lo == tree.leafptr(v).spos
     assert tree.window.substring(lo, hi) == b"ab"
 
 
 def test_fresh_pair_requires_edge():
     tree = build("abxaby")
-    v = node_by_string(tree, "ab")
     with pytest.raises(ValueError):
-        fresh_index_pair(tree, v, tree.root)
+        tree.edge_label(tree.root)
 
 
 @settings(max_examples=40, deadline=None)
@@ -177,7 +179,7 @@ def test_fresh_pairs_strongly_fresh_over_sliding_runs(stream, cap):
         for node in tree.iter_nodes():
             if node.parent is None or node.children is None:
                 continue
-            lo, hi = fresh_index_pair(tree, node.parent, node)
+            lo, hi = tree.edge_label(node)
             assert lo - node.parent.depth >= tree.tail
             assert hi <= tree.head
             label = tree.window.substring(lo, hi)

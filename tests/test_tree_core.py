@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import slidingsuffix
 from slidingsuffix import SlidingSuffixTree
 from slidingsuffix import checks
 from slidingsuffix.oracle import naive_lrs, naive_suffix_tree
@@ -267,3 +273,22 @@ def test_node_churn_stays_linear():
     for sym in stream:
         tree.slide(sym)
     assert tree.counters.churn() <= 4 * tree.window.head
+
+
+def test_invariant_checks_survive_python_O():
+    # a taken leaf slot must be refused even where asserts are stripped
+    script = "\n".join([
+        "from slidingsuffix import SlidingSuffixTree, InvariantError",
+        "assert False, 'asserts must be stripped'",
+        "tree = SlidingSuffixTree(8)",
+        "tree.extend(b'abc')",
+        "tree._leaf_slots[3] = tree.leaf_at(1)  # the slot of the next leaf, start 4",
+        "try:",
+        "    tree.append(ord('d'))",
+        "except InvariantError as exc:",
+        "    print('refused:', exc)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(slidingsuffix.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "refused: leaf slot of start 4 is taken"
