@@ -8,7 +8,7 @@ import json
 import sys
 import time
 
-from .tree import SlidingSuffixTree, MODES
+from .tree import SlidingSuffixTree, MODES, as_pattern, as_symbol
 from .verify import VerifyConfig, run_verify, run_worstcase
 from . import checks
 
@@ -61,33 +61,66 @@ def cmd_stream(args) -> int:
     return 0
 
 
+def _request(tree, line: str):
+    """Parse and validate one request as ``(op, argument)``.
+
+    Nothing here touches the tree, so any exception raised is a client
+    error and the tree is left as it was.
+    """
+    req = json.loads(line)
+    if not isinstance(req, dict):
+        raise ValueError("a request must be a JSON object")
+    op = req.get("op")
+    if op in ("append", "slide"):
+        sym = as_symbol(req.get("sym"))
+        if op == "append" and len(tree) >= tree.capacity:
+            raise ValueError("window is full; delete_front before appending")
+        return op, sym
+    if op == "query":
+        return op, as_pattern(req.get("pattern"))
+    if op == "stats":
+        return op, None
+    raise ValueError(f"unknown op {op!r}")
+
+
+def _serve(tree, op: str, arg) -> dict:
+    if op == "append":
+        tree.append(arg)
+    elif op == "slide":
+        tree.slide(arg)
+    elif op == "query":
+        occ = tree.find_all(arg) if arg else []
+        return {"occurrences": occ, "absolute": [k + tree.tail - 1 for k in occ]}
+    else:
+        return tree.stats()
+    return {"ok": True, "tail": tree.tail, "head": tree.head}
+
+
 def cmd_interact(args) -> int:
+    """Serve JSONL requests until end of input or the first internal fault.
+
+    A request that fails validation is a client error: it is answered with
+    ``{"error": ...}`` and the loop goes on.  An exception raised while a
+    valid request is served means the tree may be half-mutated, so the
+    loop answers ``{"error": ..., "fatal": true}`` and stops with exit 1
+    rather than serve answers from a broken tree.
+    """
     tree = SlidingSuffixTree(args.window, mode=args.mode)
     for line in sys.stdin:
         line = line.strip()
         if not line:
             continue
         try:
-            req = json.loads(line)
-            op = req["op"]
-            if op == "append":
-                tree.append(req["sym"])
-                resp = {"ok": True, "tail": tree.tail, "head": tree.head}
-            elif op == "slide":
-                tree.slide(req["sym"])
-                resp = {"ok": True, "tail": tree.tail, "head": tree.head}
-            elif op == "query":
-                # only the empty string is answered without a search; any
-                # other non-text value must reach find_all and be refused
-                occ = tree.find_all(req["pattern"]) if req["pattern"] != "" else []
-                resp = {"occurrences": occ,
-                        "absolute": [k + tree.tail - 1 for k in occ]}
-            elif op == "stats":
-                resp = tree.stats()
-            else:
-                resp = {"error": f"unknown op {op!r}"}
+            op, arg = _request(tree, line)
         except Exception as exc:  # malformed input must not kill the loop
-            resp = {"error": str(exc)}
+            print(json.dumps({"error": str(exc)}), flush=True)
+            continue
+        try:
+            resp = _serve(tree, op, arg)
+        except Exception as exc:
+            print(json.dumps({"error": f"internal fault: {exc!r}", "fatal": True}),
+                  flush=True)
+            return 1
         print(json.dumps(resp), flush=True)
     return 0
 
@@ -106,6 +139,21 @@ def cmd_worstcase(args) -> int:
     return 0
 
 
+def int_in(low: int, high: int = None):
+    """An argparse type: an int from ``low`` up to ``high`` (if given)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slidingsuffix",
@@ -114,30 +162,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stream", help="index a file through the sliding window")
     p.add_argument("file", help="input file, or - for standard input")
-    p.add_argument("--window", type=int, required=True)
+    p.add_argument("--window", type=int_in(1), required=True)
     p.add_argument("--mode", choices=MODES, default="plp")
-    p.add_argument("--check-every", type=int, default=0, metavar="K",
+    p.add_argument("--check-every", type=int_in(0), default=0, metavar="K",
                    help="run the invariant audit every K bytes (0 = off); the "
                         "oracle topology check runs only while the window holds "
                         f"at most {checks.ORACLE_MAX_WINDOW} symbols")
     p.set_defaults(func=cmd_stream)
 
     p = sub.add_parser("interact", help="JSONL protocol on stdin/stdout")
-    p.add_argument("--window", type=int, required=True)
+    p.add_argument("--window", type=int_in(1), required=True)
     p.add_argument("--mode", choices=MODES, default="plp")
     p.set_defaults(func=cmd_interact)
 
     p = sub.add_parser("verify", help="randomized differential verification")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--iters", type=int, default=2000)
-    p.add_argument("--sigma", type=int, default=2)
-    p.add_argument("--window", type=int, default=8)
-    p.add_argument("--patterns", type=int, default=4,
+    p.add_argument("--iters", type=int_in(0), default=2000)
+    p.add_argument("--sigma", type=int_in(1, 256 - ord("a")), default=2,
+                   help="alphabet size; symbols start at 'a'")
+    p.add_argument("--window", type=int_in(1), default=8)
+    p.add_argument("--patterns", type=int_in(0), default=4,
                    help="matching probes per state")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("worstcase", help="reproduce the per-event cost separation")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int_in(2), required=True)
     p.add_argument("--mode", choices=MODES, default="credit")
     p.add_argument("--variant", choices=("insert", "delete"), default="insert")
     p.set_defaults(func=cmd_worstcase)

@@ -1,5 +1,13 @@
 """Online pattern matching over the live window using leaf pointers.
 
+The pattern is located by descending from the root.  Edge labels are read
+in place: an edge's start is derived from a leaf pointer (``spos`` plus the
+parent's depth), and the rest of its label is compared with a slice of the
+window's ring buffer, in two pieces when the label runs across the buffer's
+end.  The first symbol of each edge is not compared again, since the child
+lookup already matched it as the edge's key (`checks.audit` checks each key
+against its label).
+
 Leaves correspond exactly to the suffixes longer than the longest repeating
 suffix (lrs), so a subtree traversal below the pattern's locus reports every
 occurrence starting at or before ``|W| - |lrs|``.  Occurrences starting
@@ -8,7 +16,7 @@ recovered from one extra lrs occurrence found through a leaf pointer:
 
 * pattern longer than lrs: no such occurrence can fit;
 * pattern exactly lrs-sized: the only candidate start is ``|W|-|lrs|+1``,
-  settled by direct comparison;
+  a hit exactly when the pattern's locus is the lrs locus;
 * pattern shorter than lrs: let the earlier lrs occurrence start at p2. If
   it does not overlap the final one, hits inside it shift forward by the
   distance between the two occurrences.  If it overlaps, the overlap makes
@@ -21,6 +29,15 @@ Positions are window-relative and 1-based throughout.
 
 from __future__ import annotations
 
+from . import tree as _tree
+
+
+def _pattern(pattern) -> bytes:
+    p = pattern if type(pattern) is bytes else _tree.as_pattern(pattern)
+    if not p:
+        raise ValueError("pattern must be non-empty")
+    return p
+
 
 def locate(tree, pattern):
     """Locus of pattern, or None if absent.
@@ -30,12 +47,7 @@ def locate(tree, pattern):
     ``matched`` counts pattern symbols consumed on node's incoming edge;
     the locus sits exactly on node when matched equals the edge length.
     """
-    from .tree import as_pattern
-
-    p = as_pattern(pattern)
-    if not p:
-        raise ValueError("pattern must be non-empty")
-    node, matched, _ = _locate(tree, p)
+    node, matched, _ = _locate(tree, _pattern(pattern))
     if node is None:
         return None
     return node, matched
@@ -44,98 +56,125 @@ def locate(tree, pattern):
 def _locate(tree, p: bytes):
     """Descend from the root; returns (node, matched_on_edge, edges_touched)."""
     win = tree.window
+    buf = win.buf
+    cap = win.capacity
+    head = win.head
+    leaf_for = tree.maint.leaf_for
     node = tree.root
-    i = 0
     n = len(p)
-    edges = 0
+    i = take = edges = 0
     while i < n:
-        if node.children is None:
+        children = node.children
+        if children is None:
             return None, 0, edges
-        child = node.children.get(p[i])
+        child = children.get(p[i])
         if child is None:
             return None, 0, edges
         edges += 1
-        lo, hi = tree.edge_label(child)
-        take = min(hi - lo + 1, n - i)
-        if win.substring(lo, lo + take - 1) != p[i:i + take]:
-            return None, 0, edges
-        i += take
+        depth = node.depth
+        if child.children is None:
+            lo = child.spos + depth
+            take = head - lo + 1
+        else:
+            lo = leaf_for(child).spos + depth
+            take = child.depth - depth
+        j = i + take
+        if j > n:
+            j = n
+            take = n - i
+        # the key matched p[i]; compare positions lo+1 .. lo+take-1, from
+        # buffer slot a on, with p[i+1:j]
+        a = lo % cap
+        b = a + take - 1
+        if b <= cap:
+            if buf[a:b] != p[i + 1:j]:
+                return None, 0, edges
+        else:  # the label runs across the end of the buffer
+            cut = i + 1 + cap - a
+            if buf[a:] != p[i + 1:cut] or buf[:b - cap] != p[cut:j]:
+                return None, 0, edges
+        i = j
         node = child
     return node, take, edges
 
 
 def collect_subtree_leaves(tree, node):
     """Window-relative starts of all leaves at or below node (unsorted)."""
-    starts, _ = _collect(tree, node)
-    return starts
+    return _collect(tree, node)[0]
 
 
 def _collect(tree, node):
-    tail = tree.window.tail
+    """Leaf starts below node, and the edges of its subtree.
+
+    Only internal nodes are pushed, so the subtree's edge count is one
+    less than its leaves plus its internal nodes.
+    """
+    off = tree.window.tail - 1
+    if node.children is None:
+        return [node.spos - off], 0
     starts = []
-    edges = 0
+    add = starts.append
     stack = [node]
+    push = stack.append
+    pop = stack.pop
+    internal = 0
     while stack:
-        cur = stack.pop()
-        if cur.children is None:
-            starts.append(cur.spos - tail + 1)
-        else:
-            for child in cur.children.values():
-                edges += 1
-                stack.append(child)
-    return starts, edges
+        internal += 1
+        for child in pop().children.values():
+            if child.children is None:
+                add(child.spos - off)
+            else:
+                push(child)
+    return starts, len(starts) + internal - 1
 
 
-def find_all(tree, pattern):
-    """Sorted window-relative starts of every occurrence of pattern."""
-    occ, _ = find_all_counted(tree, pattern)
-    return occ
+def find_all(tree, pattern, counted=False):
+    """Sorted window-relative starts of every occurrence of pattern.
+
+    With ``counted``, returns ``(starts, edges)``, where edges is the
+    number of tree edges touched.
+    """
+    p = _pattern(pattern)
+    win = tree.window
+    tail = win.tail
+    wlen = win.head - tail + 1
+    m = len(p)
+    node = None
+    edges = 0
+    if m <= wlen:
+        node, _, edges = _locate(tree, p)
+    if node is None:
+        out = []
+    else:
+        out, walk = _collect(tree, node)
+        edges += walk
+        lrs = tree.ins.depth + tree.proj
+        p1 = wlen - lrs + 1
+        if m == lrs:
+            # two strings of one length are equal iff their loci are, and
+            # both searches stop at the node at or below the locus
+            if node is tree.canonize():
+                out.append(p1)
+        elif m < lrs:
+            below = tree.canonize()
+            lead = below if below.children is None else tree.maint.leaf_for(below)
+            p2 = lead.spos - tail + 1
+            q2 = p2 + lrs - 1
+            if p2 >= p1:
+                raise _tree.InvariantError(f"leaf {p2} below the lrs locus must "
+                                           f"start before {p1}")
+            last = wlen - m + 1  # the last start at which the pattern fits
+            if q2 < p1:
+                shift = p1 - p2
+                out += [k + shift for k in out if p2 <= k <= q2 and k + shift <= last]
+            else:
+                period = p1 - p2
+                out += [pos for k in out if p2 <= k < p1
+                        for pos in range(k + period, last + 1, period)]
+        out.sort()
+    return (out, edges) if counted else out
 
 
 def find_all_counted(tree, pattern):
     """Like `find_all`, also returning the number of tree edges touched."""
-    from .tree import InvariantError, as_pattern
-
-    p = as_pattern(pattern)
-    if not p:
-        raise ValueError("pattern must be non-empty")
-    win = tree.window
-    wlen = win.head - win.tail + 1
-    m = len(p)
-    if wlen <= 0 or m > wlen:
-        return [], 0
-    node, _, edges = _locate(tree, p)
-    if node is None:
-        return [], edges
-    hits, walk_edges = _collect(tree, node)
-    edges += walk_edges
-    lrs = tree.lrs_len()
-    p1 = wlen - lrs + 1
-    out = list(hits)
-    if m == lrs:
-        lo = win.tail + p1 - 1
-        if win.substring(lo, lo + m - 1) == p:
-            out.append(p1)
-    elif m < lrs:
-        below = tree.canonize()
-        lead = below if below.children is None else tree.leafptr(below)
-        p2 = lead.spos - win.tail + 1
-        q2 = p2 + lrs - 1
-        if p2 >= p1:
-            raise InvariantError(f"leaf {p2} below the lrs locus must start "
-                                 f"before {p1}")
-        if q2 < p1:
-            shift = p1 - p2
-            for k in hits:
-                if p2 <= k <= q2 and k + shift + m - 1 <= wlen:
-                    out.append(k + shift)
-        else:
-            period = p1 - p2
-            for k in hits:
-                if p2 <= k < p1:
-                    pos = k + period
-                    while pos + m - 1 <= wlen:
-                        out.append(pos)
-                        pos += period
-    out.sort()
-    return out, edges
+    return find_all(tree, pattern, counted=True)

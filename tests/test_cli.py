@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import pytest
 
 from slidingsuffix import cli
 from slidingsuffix.cli import main
+from slidingsuffix.plp import PlpMaintenance
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +159,65 @@ def test_interact_rejects_non_text_pattern_and_bool_symbol():
     assert all("error" in r for r in out[1:len(bad) + 2]), out
     assert out[-2]["occurrences"] == [1]
     assert out[-1]["occurrences"] == []
+
+
+def test_interact_stops_at_an_internal_fault(monkeypatch, capsys):
+    # a hook that raises mid-append leaves the tree half-mutated; the loop
+    # must report the fault once and answer nothing after it
+    calls = 0
+    real = PlpMaintenance.on_leaf_inserted
+
+    def failing(self, *args):
+        nonlocal calls
+        calls += 1
+        if calls == 3:
+            raise RuntimeError("injected")
+        return real(self, *args)
+
+    monkeypatch.setattr(PlpMaintenance, "on_leaf_inserted", failing)
+    lines = [json.dumps({"op": "append", "sym": s}) for s in "abc"]
+    lines += [json.dumps({"op": "query", "pattern": "a"}), json.dumps({"op": "stats"}),
+              "not json", json.dumps({"op": "append", "sym": "d"})]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+    code, out = run_cli(capsys, "interact", "--window", "8")
+    assert code != 0
+    assert out[:2] == [{"ok": True, "tail": 1, "head": 1}, {"ok": True, "tail": 1, "head": 2}]
+    assert len(out) == 3
+    assert out[2]["fatal"] is True and "injected" in out[2]["error"]
+
+
+def test_interact_validates_before_touching_the_tree():
+    # each client error is answered and the tree stays as it was
+    lines = [json.dumps({"op": "append", "sym": s}) for s in "ab"]
+    lines += [json.dumps(r) for r in ({"op": "append", "sym": "c"},
+                                      {"op": "slide"}, {"op": "query"}, ["op"], 5,
+                                      {"op": "append", "sym": 300})]
+    lines += [json.dumps({"op": "query", "pattern": "ab"}), json.dumps({"op": "stats"})]
+    out = interact(lines, window=2)
+    assert all("error" in r and "fatal" not in r for r in out[2:8]), out
+    assert "full" in out[2]["error"]
+    assert out[8] == {"occurrences": [1], "absolute": [1]}
+    assert out[9]["leaves_created"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["stream", "-", "--window", "0"],
+    ["stream", "-", "--window", "5", "--check-every", "-1"],
+    ["stream", "-", "--window", "x"],
+    ["interact", "--window", "0"],
+    ["verify", "--window", "0"],
+    ["verify", "--sigma", "0"],
+    ["verify", "--sigma", "160"],
+    ["verify", "--iters", "-1"],
+    ["verify", "--patterns", "-1"],
+    ["worstcase", "--n", "1"],
+])
+def test_invalid_arguments_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and ("must be" in err or "invalid int" in err)
 
 
 def test_verify_command_passes(capsys):

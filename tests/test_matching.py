@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from slidingsuffix import SlidingSuffixTree, collect_subtree_leaves, locate
 from slidingsuffix.matching import find_all_counted
 from slidingsuffix.oracle import naive_occurrences
+from slidingsuffix.verify import Lcg
 
 from conftest import build, node_by_string
 
@@ -185,3 +186,47 @@ def test_hit_partition_around_boundary(stream, cap):
         if node is not None:
             tails = sorted(collect_subtree_leaves(tree, node[0]))
             assert direct == tails
+
+
+# -- the ring-buffer seam ------------------------------------------------------------
+
+def _compares_across_seam(tree, p):
+    """Whether locating p compares a label whose buffer slots wrap around.
+
+    The locate step reads each edge's label after its first symbol, from
+    slot ``lo % capacity`` on, and the last edge only as far as p reaches.
+    """
+    found = locate(tree, p)
+    if found is None:
+        return False
+    node, take = found
+    cap = tree.capacity
+    while node.parent is not None:
+        lo, hi = tree.edge_label(node)
+        if take is None:
+            take = hi - lo + 1
+        if lo % cap + take - 1 > cap:
+            return True
+        node = node.parent
+        take = None
+    return False
+
+
+@pytest.mark.parametrize("mode", ["plp", "credit"])
+@pytest.mark.parametrize("sigma", [2, 3])
+def test_queries_across_the_ring_buffer_seam(mode, sigma):
+    alphabet = b"abc"[:sigma]
+    crossed = 0
+    for cap in range(2, 10):
+        rng = Lcg(1000 * sigma + cap)
+        tree = SlidingSuffixTree(cap, mode=mode)
+        for _ in range(5 * cap):
+            tree.slide(alphabet[rng.draw(sigma)])
+            w = tree.window_bytes()
+            pats = {w[i:j] for i in range(len(w)) for j in range(i + 1, len(w) + 1)}
+            pats |= {p[:k] + bytes([c]) + p[k + 1:]
+                     for p in list(pats) for k in range(len(p)) for c in alphabet + b"z"}
+            for p in pats:
+                assert tree.find_all(p) == naive_occurrences(w, p), (cap, w, p)
+                crossed += _compares_across_seam(tree, p)
+    assert crossed > 0
