@@ -1,6 +1,5 @@
 """Suffix tree over a sliding byte window with O(1) leaf-pointer upkeep."""
 
-from .window import TextWindow
 from .tree import SlidingSuffixTree, Counters, InvariantError, MODES
 from .matching import find_all, locate, collect_subtree_leaves
 from .oracle import naive_lrs, naive_suffix_tree, naive_occurrences, TreeSketch
@@ -9,7 +8,6 @@ from .verify import Lcg, VerifyConfig, run_verify, run_worstcase
 __version__ = "0.1.0"
 
 __all__ = [
-    "TextWindow",
     "SlidingSuffixTree",
     "Counters",
     "InvariantError",

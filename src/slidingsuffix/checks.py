@@ -66,7 +66,7 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
     is computed here for windows of at most `ORACLE_MAX_WINDOW` symbols;
     above that the topology family is left unchecked (empty), and every
     other family still runs.  Each edge label is derived once through
-    `tree.edge_label` and read once through `window.substring`.  A label
+    `tree.edge_label` and read once through `tree.substring`.  A label
     that cannot be derived or read is a freshness finding; the walk still
     descends below it, with the strings there left unknown, so the
     pointer checks cover the whole tree.
@@ -78,13 +78,13 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
     and a marker pushed under a node's children compares the rank once
     the subtree is done.
     """
-    win = tree.window
-    tail = win.tail
-    head = win.head
-    if expected is None and len(win) <= ORACLE_MAX_WINDOW:
-        expected = oracle.naive_suffix_tree(win.to_bytes())
+    tail = tree.tail
+    head = tree.head
+    wlen = head - tail + 1
+    if expected is None and wlen <= ORACLE_MAX_WINDOW:
+        expected = oracle.naive_suffix_tree(tree.window_bytes())
     edge_label = tree.edge_label
-    substring = win.substring
+    substring = tree.substring
     leaf_at = tree.leaf_at
     plp = tree.mode == "plp"
     root = tree.root
@@ -199,8 +199,8 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
         elif s is not None and strings[link] is not None and strings[link] != s[1:]:
             structure.append(f"suffix link of {_name(node)} spells the wrong string")
     lrs = tree.lrs_len()
-    if not 0 <= lrs <= max(len(win) - 1, 0):
-        structure.append(f"lrs length {lrs} impossible for window of {len(win)}")
+    if not 0 <= lrs <= max(wlen - 1, 0):
+        structure.append(f"lrs length {lrs} impossible for window of {wlen}")
 
     got = TreeSketch(tuple(sorted(s for s in strings.values() if s is not None)),
                      tuple(sorted(leaf_starts)))
@@ -212,7 +212,7 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
         if got.leaf_starts != expected.leaf_starts:
             topology.append(f"leaf starts {got.leaf_starts!r} != oracle "
                             f"{expected.leaf_starts!r}")
-        want_lrs = len(win) - len(expected.leaf_starts)
+        want_lrs = wlen - len(expected.leaf_starts)
         if lrs != want_lrs:
             topology.append(f"lrs length {lrs} != oracle {want_lrs}")
     return Audit(got, structure, topology, freshness, pointers, counter_violations(tree))
@@ -224,7 +224,7 @@ def counter_violations(tree) -> list:
     c = tree.counters
     if tree.mode == "plp" and c.plp_field_writes_max_event > 4:
         bad.append(f"a leaf event performed {c.plp_field_writes_max_event} pointer writes")
-    pushed = tree.window.head
+    pushed = tree.head
     if c.churn() > 4 * pushed:
         bad.append(f"node churn {c.churn()} exceeds 4x pushed symbols ({pushed})")
     return bad

@@ -55,10 +55,9 @@ def locate(tree, pattern):
 
 def _locate(tree, p: bytes):
     """Descend from the root; returns (node, matched_on_edge, edges_touched)."""
-    win = tree.window
-    buf = win.buf
-    cap = win.capacity
-    head = win.head
+    buf = tree.buf
+    cap = tree.capacity
+    head = tree.head
     leaf_for = tree.maint.leaf_for
     node = tree.root
     n = len(p)
@@ -109,7 +108,7 @@ def _collect(tree, node):
     Only internal nodes are pushed, so the subtree's edge count is one
     less than its leaves plus its internal nodes.
     """
-    off = tree.window.tail - 1
+    off = tree.tail - 1
     if node.children is None:
         return [node.spos - off], 0
     starts = []
@@ -135,9 +134,8 @@ def find_all(tree, pattern, counted=False):
     number of tree edges touched.
     """
     p = _pattern(pattern)
-    win = tree.window
-    tail = win.tail
-    wlen = win.head - tail + 1
+    tail = tree.tail
+    wlen = tree.head - tail + 1
     m = len(p)
     node = None
     edges = 0

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 
 def _secondary_child(w):
-    """The lowest-keyed non-primary child of w (deterministic choice)."""
+    """The lowest-keyed non-primary child of w: a deterministic choice of
+    the child a deletion promotes onto a primary path."""
     best_key = None
     best = None
     for key, child in w.children.items():
@@ -48,15 +49,15 @@ class PlpMaintenance:
         Secondary nodes answer from their stored pointer.  A primary
         internal node is never the first node of a primary path, but it
         branches, so some child is secondary and that child's pointer (or
-        the child itself, if a leaf) answers.  On an empty tree the root
-        returns itself.
+        the child itself, if a leaf) answers.  At most one child is
+        primary, so the first two children hold a secondary one.  On an
+        empty tree the root returns itself.
         """
         if not node.prim:
             return node.plp
-        y = _secondary_child(node)
-        if y.children is None:
-            return y
-        return y.plp
+        for y in node.children.values():
+            if not y.prim:
+                return y if y.children is None else y.plp
 
     # -- leaf events ---------------------------------------------------------
 

@@ -6,6 +6,12 @@ the parent edge when the parent stops branching.  Edge labels are never
 stored: every edge's index-pair is derived on demand from a leaf pointer, so
 labels stay inside the live window by construction.
 
+The tree owns the window's ring buffer.  Positions are absolute and 1-based:
+the k-th symbol ever appended lives at position k until `delete_front`
+retires it, the live range is ``tail..head`` (empty when ``head < tail``),
+and position k lives in slot ``(k - 1) % capacity`` of ``buf``, which is
+injective over the live range.
+
 Two interchangeable leaf-pointer maintenance modes exist:
 
 * ``"plp"`` keeps one primary child per node and a pointer per secondary
@@ -27,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 from typing import Optional, Union
 
-from .window import TextWindow
 from .plp import PlpMaintenance
 from .credit import CreditMaintenance
 from . import matching
@@ -145,9 +150,14 @@ class SlidingSuffixTree:
     """Implicit suffix tree of the live window of a byte stream."""
 
     def __init__(self, capacity: int, mode: str = "plp"):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        self.window = TextWindow(capacity)
+        self.capacity = capacity
+        self.tail = 1  # position of the oldest live symbol
+        self.head = 0  # position of the newest
+        self.buf = bytearray(capacity)
         self.mode = mode
         self.counters = Counters()
         self.root = InternalNode(parent=None, depth=0, in_key=None)
@@ -162,31 +172,33 @@ class SlidingSuffixTree:
 
     # -- introspection ----------------------------------------------------
 
-    @property
-    def capacity(self) -> int:
-        return self.window.capacity
-
-    @property
-    def tail(self) -> int:
-        return self.window.tail
-
-    @property
-    def head(self) -> int:
-        return self.window.head
-
     def __len__(self) -> int:
-        return len(self.window)
+        return self.head - self.tail + 1
 
     def lrs_len(self) -> int:
         """Length of the longest repeating suffix of the current window."""
         return self.ins.depth + self.proj
 
+    def substring(self, lo: int, hi: int) -> bytes:
+        """Window bytes at absolute positions lo..hi inclusive (empty if lo > hi)."""
+        if lo > hi:
+            return b""
+        if not (self.tail <= lo and hi <= self.head):
+            raise IndexError(f"range [{lo}..{hi}] outside window [{self.tail}..{self.head}]")
+        cap = self.capacity
+        a = (lo - 1) % cap
+        b = (hi - 1) % cap
+        if a <= b:
+            return bytes(self.buf[a:b + 1])
+        return bytes(self.buf[a:]) + bytes(self.buf[:b + 1])
+
     def window_bytes(self) -> bytes:
-        return self.window.to_bytes()
+        """The whole live window, oldest symbol first."""
+        return self.substring(self.tail, self.head)
 
     def leaf_at(self, spos: int) -> Optional[LeafNode]:
         """The live leaf whose suffix starts at absolute position spos, if any."""
-        leaf = self._leaf_slots[(spos - 1) % self.window.capacity]
+        leaf = self._leaf_slots[(spos - 1) % self.capacity]
         if leaf is not None and leaf.spos == spos:
             return leaf
         return None
@@ -217,7 +229,7 @@ class SlidingSuffixTree:
         if parent is None:
             raise ValueError("the root has no incoming edge")
         if node.children is None:
-            return node.spos + parent.depth, self.window.head
+            return node.spos + parent.depth, self.head
         k = self.leafptr(node).spos
         return k + parent.depth, k + node.depth - 1
 
@@ -238,10 +250,9 @@ class SlidingSuffixTree:
         ins = self.ins
         if proj == 0:
             return ins
-        win = self.window
-        buf = win.buf
-        cap = win.capacity
-        head = win.head
+        buf = self.buf
+        cap = self.capacity
+        head = self.head
         while True:
             child = ins.children[buf[(head - proj) % cap]]
             if child.children is None:
@@ -277,12 +288,11 @@ class SlidingSuffixTree:
         """
         if type(sym) is not int or not 0 <= sym <= 255:
             sym = as_symbol(sym)
-        win = self.window
-        head = win.head
-        cap = win.capacity
-        if head - win.tail + 1 >= cap:
+        head = self.head
+        cap = self.capacity
+        if head - self.tail + 1 >= cap:
             raise ValueError("window is full; delete_front before appending")
-        buf = win.buf
+        buf = self.buf
         slots = self._leaf_slots
         maint = self.maint
         root = self.root
@@ -354,7 +364,7 @@ class SlidingSuffixTree:
         counters.nodes_created += nodes
         counters.leaves_created += leaves
         buf[head % cap] = sym
-        win.head = head + 1
+        self.head = head + 1
 
     def delete_front(self) -> None:
         """Remove the oldest window symbol, updating the tree online.
@@ -365,12 +375,11 @@ class SlidingSuffixTree:
         Otherwise the leaf is detached and, if its parent is left
         non-branching, the two surrounding edges merge.
         """
-        win = self.window
-        tail = win.tail
-        if win.head < tail:
+        tail = self.tail
+        if self.head < tail:
             raise ValueError("window is empty")
         below = self.canonize() if self.proj else None
-        cap = win.capacity
+        cap = self.capacity
         slots = self._leaf_slots
         slot = (tail - 1) % cap
         u = slots[slot]
@@ -379,7 +388,7 @@ class SlidingSuffixTree:
             # the departing prefix and the repeating suffix share this edge:
             # move the leaf, keeping its identity, to the lrs occurrence
             ins = self.ins
-            new_spos = win.head - (ins.depth + self.proj) + 1
+            new_spos = self.head - (ins.depth + self.proj) + 1
             new_slot = (new_spos - 1) % cap
             if slots[new_slot] is not None:
                 raise InvariantError(f"leaf slot of start {new_spos} is taken")
@@ -417,12 +426,11 @@ class SlidingSuffixTree:
                 w.suffix_link = None
                 w.plp = None
                 counters.nodes_deleted += 1
-        win.tail = tail + 1
+        self.tail = tail + 1
 
     def slide(self, sym: Symbol) -> None:
         """Append, first deleting the front symbol if the window is full."""
-        win = self.window
-        if win.head - win.tail + 1 >= win.capacity:
+        if self.head - self.tail + 1 >= self.capacity:
             self.delete_front()
         self.append(sym)
 

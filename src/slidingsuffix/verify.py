@@ -10,13 +10,15 @@ independent implementations:
 Symbols are ``ord('a') + draw(sigma)``.  Each step draws r = draw(8) and
 then: appends when the window is empty, deletes when it is full, deletes
 when r == 0, and appends otherwise.  Pattern samples for the matching check
-are drawn from the same generator (see `sample_patterns`).
+are drawn from the same generator (see `sample_patterns`).  `drive` is the
+one implementation of this policy, and `check` the one per-state sweep.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import checks, oracle
 from .tree import SlidingSuffixTree
@@ -92,6 +94,57 @@ def sample_patterns(rng: Lcg, text: bytes, lrs: int, count: int) -> list:
     return pats[:count]
 
 
+def drive(rng: Lcg, trees: list, sigma: int):
+    """Apply the seeded op policy to every tree, one event per step, forever.
+
+    Yields each event's log entry, ``"+a"`` for an append of ``a`` or
+    ``"-"`` for a front deletion, after the event; the caller stops it.
+    Emptiness and fullness are read from the first tree.
+    """
+    first = trees[0]
+    while True:
+        size = len(first)
+        r = rng.draw(8)
+        if size == 0 or (size < first.capacity and r != 0):
+            sym = ord('a') + rng.draw(sigma)
+            for tree in trees:
+                tree.append(sym)
+            yield "+" + chr(sym)
+        else:
+            for tree in trees:
+                tree.delete_front()
+            yield "-"
+
+
+@dataclass
+class Check:
+    """Findings of one `check`: one audit per tree, then the matching
+    findings of the first tree on the sampled patterns."""
+
+    trees: list
+    audits: list
+    patterns: list
+    matching: list
+
+    def violations(self) -> list:
+        """Every finding, tagged with its tree's mode."""
+        bad = [f"[{tree.mode}] " + msg
+               for tree, found in zip(self.trees, self.audits)
+               for msg in found.violations()]
+        bad += [f"[{self.trees[0].mode}] " + msg for msg in self.matching]
+        return bad
+
+
+def check(rng: Lcg, trees: list, patterns: int) -> Check:
+    """Audit every tree against one oracle sketch of the window, and query
+    the first tree with ``patterns`` samples drawn from ``rng``."""
+    text = trees[0].window_bytes()
+    expected = oracle.naive_suffix_tree(text)
+    pats = sample_patterns(rng, text, trees[0].lrs_len(), patterns)
+    audits = [checks.audit(tree, expected) for tree in trees]
+    return Check(trees, audits, pats, checks.matching_violations(trees[0], pats, text))
+
+
 def run_verify(cfg: VerifyConfig) -> VerifyResult:
     """Drive a random op stream, sweeping all invariants after every event.
 
@@ -103,48 +156,15 @@ def run_verify(cfg: VerifyConfig) -> VerifyResult:
     trees = [SlidingSuffixTree(cfg.window, mode="plp"),
              SlidingSuffixTree(cfg.window, mode="credit")]
     log = []
-    events = 0
     start = time.perf_counter()
-
-    def sweep() -> list:
-        text = trees[0].window_bytes()
-        expected = oracle.naive_suffix_tree(text)
-        pats = sample_patterns(rng, text, trees[0].lrs_len(),
-                               cfg.patterns_per_state)
-        bad = []
-        for tree in trees:
-            bad.extend(f"[{tree.mode}] " + msg
-                       for msg in checks.audit(tree, expected).violations())
-        if pats:
-            bad.extend("[plp] " + m
-                       for m in checks.matching_violations(trees[0], pats, text))
-        return bad
-
-    for _ in range(cfg.iters):
-        size = len(trees[0])
-        r = rng.draw(8)
-        if size == 0:
-            op = "append"
-        elif size >= cfg.window or r == 0:
-            op = "delete"
-        else:
-            op = "append"
-        if op == "append":
-            sym = ord('a') + rng.draw(cfg.sigma)
-            log.append("+" + chr(sym))
-            for tree in trees:
-                tree.append(sym)
-        else:
-            log.append("-")
-            for tree in trees:
-                tree.delete_front()
-        events += 1
-        bad = sweep()
+    for entry in islice(drive(rng, trees, cfg.sigma), cfg.iters):
+        log.append(entry)
+        bad = check(rng, trees, cfg.patterns_per_state).violations()
         if bad:
-            return VerifyResult(ok=False, events=events, violations=bad,
+            return VerifyResult(ok=False, events=len(log), violations=bad,
                                 event_log=log,
                                 elapsed_s=time.perf_counter() - start)
-    return VerifyResult(ok=True, events=events,
+    return VerifyResult(ok=True, events=len(log),
                         elapsed_s=time.perf_counter() - start)
 
 

@@ -14,7 +14,6 @@ def build(text, capacity=None, mode="plp"):
 def node_by_string(tree, s):
     """The internal node spelling s, or None."""
     target = s.encode("latin-1") if isinstance(s, str) else bytes(s)
-    win = tree.window
     stack = [(tree.root, b"")]
     while stack:
         node, cur = stack.pop()
@@ -24,5 +23,5 @@ def node_by_string(tree, s):
             continue
         for child in node.children.values():
             lo, hi = tree.edge_label(child)
-            stack.append((child, cur + win.substring(lo, hi)))
+            stack.append((child, cur + tree.substring(lo, hi)))
     return None

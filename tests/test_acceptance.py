@@ -17,10 +17,8 @@ from dataclasses import dataclass, field
 import pytest
 
 from slidingsuffix import SlidingSuffixTree, run_worstcase
-from slidingsuffix import checks
 from slidingsuffix.cli import main as cli_main
-from slidingsuffix.oracle import naive_occurrences, naive_suffix_tree
-from slidingsuffix.verify import Lcg, sample_patterns
+from slidingsuffix.verify import Lcg, check, drive
 
 SEEDS = 1000
 WORSTCASE_SIZES = (10, 100, 1000)
@@ -53,38 +51,25 @@ def _drive_seed(seed: int, out: SweepOutcome):
     total = 10 + rng.draw(191)  # stream length <= 200
     plp = SlidingSuffixTree(window, mode="plp")
     credit = SlidingSuffixTree(window, mode="credit")
+    trees = [plp, credit]
     appended = 0
-    while appended < total:
-        size = len(plp)
-        r = rng.draw(8)
-        if size == 0 or (size < window and r != 0):
-            sym = ord("a") + rng.draw(sigma)
-            plp.append(sym)
-            credit.append(sym)
-            appended += 1
-        else:
-            plp.delete_front()
-            credit.delete_front()
+    for entry in drive(rng, trees, sigma):
         out.events += 1
-        text = plp.window_bytes()
-        expected = naive_suffix_tree(text)
         tag = f"seed {seed} event {out.events}: "
-        for tree, pointer_bad in ((plp, out.plp_bad), (credit, out.credit_bad)):
-            found = checks.audit(tree, expected)
+        found = check(rng, trees, 10)
+        for tree, audit, pointer_bad in zip(trees, found.audits,
+                                            (out.plp_bad, out.credit_bad)):
             mode = f"[{tree.mode}] "
-            out.topology_bad.extend(tag + mode + m for m in found.structure + found.topology)
-            out.fresh_bad.extend(tag + mode + m for m in found.freshness)
-            pointer_bad.extend(tag + m for m in found.pointers)
-            out.churn_bad.extend(tag + mode + m for m in found.counters)
+            out.topology_bad.extend(tag + mode + m for m in audit.structure + audit.topology)
+            out.fresh_bad.extend(tag + mode + m for m in audit.freshness)
+            pointer_bad.extend(tag + m for m in audit.pointers)
+            out.churn_bad.extend(tag + mode + m for m in audit.counters)
+        out.match_bad.extend(tag + m for m in found.matching)
         if plp.counters.plp_field_writes_max_event > out.max_plp_writes:
             out.max_plp_writes = plp.counters.plp_field_writes_max_event
+        out.queries += len(found.patterns)
         lrs = plp.lrs_len()
-        for p in sample_patterns(rng, text, lrs, 10):
-            out.queries += 1
-            got = plp.find_all(p)
-            want = naive_occurrences(text, p)
-            if got != want:
-                out.match_bad.append(tag + f"find_all({p!r})={got} want {want}")
+        for p in found.patterns:
             m = len(p)
             if m > lrs:
                 out.case_coverage.add("long")
@@ -94,8 +79,12 @@ def _drive_seed(seed: int, out: SweepOutcome):
                 below = plp.canonize()
                 lead = below if below.children is None else plp.leafptr(below)
                 p2 = lead.spos - plp.tail + 1
-                overlap = p2 + lrs - 1 >= len(text) - lrs + 1
+                overlap = p2 + lrs - 1 >= len(plp) - lrs + 1
                 out.case_coverage.add("short-overlap" if overlap else "short-clear")
+        if entry != "-":
+            appended += 1
+            if appended == total:
+                break
 
 
 @pytest.fixture(scope="session")

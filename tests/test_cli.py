@@ -186,6 +186,23 @@ def test_interact_stops_at_an_internal_fault(monkeypatch, capsys):
     assert out[2]["fatal"] is True and "injected" in out[2]["error"]
 
 
+def test_interact_closed_reader_exits_without_a_traceback(tmp_path):
+    requests = tmp_path / "stats.jsonl"
+    requests.write_text((json.dumps({"op": "stats"}) + "\n") * 3000)
+    with requests.open("rb") as stdin:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "slidingsuffix", "interact", "--window", "8"],
+            stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()  # the reader goes away with output still to come
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+        proc.stderr.close()
+    assert json.loads(first)["leaves_created"] == 0
+    assert b"Traceback" not in err, err.decode()
+    assert code == 1
+
+
 def test_interact_validates_before_touching_the_tree():
     # each client error is answered and the tree stays as it was
     lines = [json.dumps({"op": "append", "sym": s}) for s in "ab"]

@@ -122,6 +122,38 @@ def test_secondary_leaf_answers_itself():
     assert tree.leafptr(second) is second
 
 
+class CountingChildren(dict):
+    """A children map that counts every child its iterators hand out."""
+
+    taken = 0
+
+    def _count(self, it):
+        for x in it:
+            self.taken += 1
+            yield x
+
+    def __iter__(self):
+        return self._count(super().__iter__())
+
+    def items(self):
+        return self._count(super().items())
+
+    def values(self):
+        return self._count(super().values())
+
+
+def test_primary_node_answers_from_at_most_two_children():
+    # "a" splits the root's primary leaf, so its node is primary, and it
+    # gains one child per symbol that follows an "a"
+    tree = build("".join("a" + chr(c) for c in range(ord("b"), ord("z"))))
+    node = node_by_string(tree, "a")
+    assert node.prim and len(node.children) == 24
+    node.children = CountingChildren(node.children)
+    leaf = tree.leafptr(node)
+    assert node.children.taken <= 2
+    assert leaf.children is None and leaf.parent is node
+
+
 def test_query_returns_in_window_descendant_over_long_stream():
     rng = Lcg(99)
     tree = SlidingSuffixTree(16)
@@ -148,7 +180,7 @@ def test_fresh_pair_for_deep_edge():
     lo, hi = tree.edge_label(v)
     k = tree.leafptr(v).spos
     assert (lo, hi) == (k + 3, k + 4)
-    assert tree.window.substring(lo, hi) == b"yy"
+    assert tree.substring(lo, hi) == b"yy"
     assert lo - u.depth >= tree.tail and hi <= tree.head
     # both occurrences of "abcyy" start leaves, so the pair is one of two
     assert (lo - tree.tail, hi - tree.tail) in {(7, 8), (12, 13)}
@@ -160,7 +192,7 @@ def test_fresh_pair_below_root_starts_at_leaf():
     assert v is not None and v.parent is tree.root
     lo, hi = tree.edge_label(v)
     assert lo == tree.leafptr(v).spos
-    assert tree.window.substring(lo, hi) == b"ab"
+    assert tree.substring(lo, hi) == b"ab"
 
 
 def test_fresh_pair_requires_edge():
@@ -182,7 +214,7 @@ def test_fresh_pairs_strongly_fresh_over_sliding_runs(stream, cap):
             lo, hi = tree.edge_label(node)
             assert lo - node.parent.depth >= tree.tail
             assert hi <= tree.head
-            label = tree.window.substring(lo, hi)
+            label = tree.substring(lo, hi)
             assert len(label) == node.depth - node.parent.depth
 
 

@@ -44,7 +44,7 @@ def test_modes_build_identical_topology():
     plp = SlidingSuffixTree(6, mode="plp")
     credit = SlidingSuffixTree(6, mode="credit")
     for step, ch in enumerate(b"abcabcababab"):
-        if plp.window.full:
+        if len(plp) == plp.capacity:
             plp.delete_front()
             credit.delete_front()
         plp.append(ch)
@@ -203,14 +203,13 @@ def test_edge_label_rejects_root():
 
 def test_edge_labels_reconstruct_every_edge():
     tree = build("abaab")
-    win = tree.window
     expected = naive_suffix_tree(b"abaab")
     assert checks.audit(tree).sketch == expected
     for node in tree.iter_nodes():
         if node.parent is None:
             continue
         lo, hi = tree.edge_label(node)
-        label = win.substring(lo, hi)
+        label = tree.substring(lo, hi)
         assert len(label) >= 1
         if node.children is not None:
             assert len(label) == node.depth - node.parent.depth
@@ -242,7 +241,7 @@ def test_leafptr_is_live_descendant_in_both_modes():
 def run_stream(mode, caps, stream, deletes_at):
     tree = SlidingSuffixTree(caps, mode=mode)
     for i, sym in enumerate(stream):
-        if tree.window.full or i in deletes_at:
+        if len(tree) == tree.capacity or i in deletes_at:
             if len(tree):
                 tree.delete_front()
         tree.append(sym)
@@ -272,7 +271,7 @@ def test_node_churn_stays_linear():
     stream = (b"abcd" * 64)[:256]
     for sym in stream:
         tree.slide(sym)
-    assert tree.counters.churn() <= 4 * tree.window.head
+    assert tree.counters.churn() <= 4 * tree.head
 
 
 def test_invariant_checks_survive_python_O():

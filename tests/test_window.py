@@ -1,105 +1,118 @@
+"""The window's ring buffer, owned by the tree: absolute positions written by
+`append`, retired by `delete_front`, read back by `substring` and
+`window_bytes`."""
+
 import pytest
 from hypothesis import given, strategies as st
 
-from slidingsuffix.window import TextWindow
+from slidingsuffix import SlidingSuffixTree
 
 
 def test_first_push_lands_at_position_one():
-    win = TextWindow(4)
-    assert win.tail == 1 and win.head == 0
-    assert win.push(ord("a")) == 1
-    assert win.symbol_at(1) == ord("a")
+    tree = SlidingSuffixTree(4)
+    assert tree.tail == 1 and tree.head == 0
+    tree.append(ord("a"))
+    assert tree.head == 1
+    assert tree.substring(1, 1) == b"a"
 
 
 def test_absolute_positions_survive_filling():
-    win = TextWindow(5)
+    tree = SlidingSuffixTree(5)
     for i, ch in enumerate(b"abaca", start=1):
-        assert win.push(ch) == i
-    assert win.symbol_at(3) == ord("a")
-    assert win.to_bytes() == b"abaca"
+        tree.append(ch)
+        assert tree.head == i
+    assert tree.substring(3, 3) == b"a"
+    assert tree.window_bytes() == b"abaca"
 
 
 def test_wraparound_reuses_slots_without_aliasing():
-    win = TextWindow(2)
-    win.push(ord("x"))
-    win.push(ord("y"))
-    assert win.pop() == 1
-    assert win.push(ord("z")) == 3
-    assert win.symbol_at(2) == ord("y")
-    assert win.symbol_at(3) == ord("z")
+    tree = SlidingSuffixTree(2)
+    tree.append(ord("x"))
+    tree.append(ord("y"))
+    tree.delete_front()
+    assert tree.tail == 2
+    tree.append(ord("z"))
+    assert tree.head == 3
+    assert tree.substring(2, 2) == b"y"
+    assert tree.substring(3, 3) == b"z"
+    assert tree.substring(2, 3) == b"yz"  # runs across the end of the buffer
+    assert tree.window_bytes() == b"yz"
     with pytest.raises(IndexError):
-        win.symbol_at(1)
+        tree.substring(1, 1)
 
 
 def test_push_on_full_window_rejected():
-    win = TextWindow(1)
-    win.push(0)
+    tree = SlidingSuffixTree(1)
+    tree.append(0)
     with pytest.raises(ValueError):
-        win.push(1)
+        tree.append(1)
+    assert tree.window_bytes() == b"\x00" and tree.head == 1
 
 
 def test_pop_to_empty_and_again():
-    win = TextWindow(3)
-    win.push(ord("q"))
-    assert win.pop() == 1
-    assert len(win) == 0
+    tree = SlidingSuffixTree(3)
+    tree.append(ord("q"))
+    tree.delete_front()
+    assert tree.tail == 2
+    assert len(tree) == 0
+    assert tree.window_bytes() == b""
     with pytest.raises(ValueError):
-        win.pop()
+        tree.delete_front()
+    assert tree.tail == 2
 
 
 def test_pop_shrinks_accessible_range():
-    win = TextWindow(4)
+    tree = SlidingSuffixTree(4)
     for ch in b"abc":
-        win.push(ch)
-    win.pop()
-    win.pop()
+        tree.append(ch)
+    tree.delete_front()
+    tree.delete_front()
     with pytest.raises(IndexError):
-        win.symbol_at(2)
-    assert win.symbol_at(3) == ord("c")
+        tree.substring(2, 2)
+    with pytest.raises(IndexError):
+        tree.substring(3, 4)
+    assert tree.substring(3, 3) == b"c"
 
 
 def test_symbol_at_deep_offset_from_tail():
-    win = TextWindow(15)
+    tree = SlidingSuffixTree(15)
     for ch in b"abczabcyyabcyyz":
-        win.push(ch)
-    assert win.symbol_at(win.tail + 7) == ord("y")
-    assert win.substring(win.tail + 7, win.tail + 8) == b"yy"
+        tree.append(ch)
+    assert tree.substring(tree.tail + 7, tree.tail + 7) == b"y"
+    assert tree.substring(tree.tail + 7, tree.tail + 8) == b"yy"
 
 
 def test_substring_reads_back_pushes():
-    win = TextWindow(5)
+    tree = SlidingSuffixTree(5)
     for ch in b"abaca":
-        win.push(ch)
-    assert win.substring(2, 4) == b"bac"
-    assert win.substring(4, 3) == b""
+        tree.append(ch)
+    assert tree.substring(2, 4) == b"bac"
+    assert tree.substring(4, 3) == b""
 
 
 def test_single_symbol_window():
-    win = TextWindow(3)
-    win.push(ord("k"))
-    win.pop()
-    pos = win.push(ord("m"))
-    assert win.symbol_at(pos) == ord("m")
-    assert len(win) == 1
+    tree = SlidingSuffixTree(3)
+    tree.append(ord("k"))
+    tree.delete_front()
+    tree.append(ord("m"))
+    assert tree.head == 2
+    assert tree.substring(2, 2) == b"m"
+    assert len(tree) == 1
 
 
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 255)), max_size=200),
        st.integers(1, 7))
 def test_matches_append_only_shadow_log(ops, capacity):
-    win = TextWindow(capacity)
-    log = []  # every symbol ever pushed, 1-indexed by position
+    tree = SlidingSuffixTree(capacity)
+    log = []  # every symbol ever appended, 1-indexed by position
     for is_push, sym in ops:
         if is_push:
-            if len(win) < capacity:
-                win.push(sym)
+            if len(tree) < capacity:
+                tree.append(sym)
                 log.append(sym)
-        else:
-            if len(win) > 0:
-                win.pop()
-    assert win.head == len(log)
-    seen_slots = set()
-    for k in range(win.tail, win.head + 1):
-        assert win.symbol_at(k) == log[k - 1]
-        slot = (k - 1) % capacity
-        assert slot not in seen_slots
-        seen_slots.add(slot)
+        elif len(tree) > 0:
+            tree.delete_front()
+    assert tree.head == len(log)
+    for k in range(tree.tail, tree.head + 1):
+        assert tree.substring(k, k) == bytes([log[k - 1]])
+    assert tree.window_bytes() == bytes(log[tree.tail - 1:])
