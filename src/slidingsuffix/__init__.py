@@ -1,8 +1,8 @@
 """Suffix tree over a sliding byte window with O(1) leaf-pointer upkeep."""
 
 from .tree import SlidingSuffixTree, Counters, InvariantError, MODES
-from .matching import find_all, locate, collect_subtree_leaves
-from .oracle import naive_lrs, naive_suffix_tree, naive_occurrences, TreeSketch
+from .matching import find_all
+from .oracle import naive_suffix_tree, naive_occurrences, TreeSketch
 from .verify import Lcg, VerifyConfig, run_verify, run_worstcase
 
 __version__ = "0.1.0"
@@ -13,9 +13,6 @@ __all__ = [
     "InvariantError",
     "MODES",
     "find_all",
-    "locate",
-    "collect_subtree_leaves",
-    "naive_lrs",
     "naive_suffix_tree",
     "naive_occurrences",
     "TreeSketch",

@@ -66,18 +66,12 @@ def naive_suffix_tree(w) -> TreeSketch:
 
 
 def naive_occurrences(w, p) -> list:
-    """Sorted 1-based start positions of every occurrence of p in w."""
+    """Sorted 1-based start positions of every occurrence of bytes p in bytes w."""
     out = []
-    if len(p) == 0 or len(p) > len(w):
+    if not p:
         return out
-    if isinstance(w, (bytes, bytearray)):
-        text = bytes(w)
-        i = text.find(p)
-        while i != -1:
-            out.append(i + 1)
-            i = text.find(p, i + 1)
-        return out
-    for i in range(len(w) - len(p) + 1):
-        if w[i:i + len(p)] == p:
-            out.append(i + 1)
+    i = w.find(p)
+    while i != -1:
+        out.append(i + 1)
+        i = w.find(p, i + 1)
     return out

@@ -4,7 +4,9 @@ Appending a symbol runs one phase of Ukkonen's construction; deleting the
 front symbol removes (or shortens) the leaf of the longest suffix and merges
 the parent edge when the parent stops branching.  Edge labels are never
 stored: every edge's index-pair is derived on demand from a leaf pointer, so
-labels stay inside the live window by construction.
+labels stay inside the live window by construction.  Nor are the keys of
+``children``: an edge's key is its label's first symbol, and the few places
+that need one read it from the window.
 
 The tree owns the window's ring buffer.  Positions are absolute and 1-based:
 the k-th symbol ever appended lives at position k until `delete_front`
@@ -78,35 +80,33 @@ class InvariantError(AssertionError):
 class InternalNode:
     """Branching node.  ``children`` maps edge first symbol -> child."""
 
-    __slots__ = ("parent", "children", "suffix_link", "depth", "in_key",
+    __slots__ = ("parent", "children", "suffix_link", "depth",
                  "prim", "plp", "cred", "lp")
 
-    def __init__(self, parent, depth, in_key):
+    def __init__(self, parent, depth):
         self.parent = parent
         self.children = {}
         self.suffix_link = None
         self.depth = depth
-        self.in_key = in_key  # key of this node in parent.children
         self.prim = False
         self.plp = None       # leaf reached along primary edges; secondary nodes only
         self.cred = 0
         self.lp = 0           # start of a descendant leaf; credit mode only
 
     def __repr__(self):
-        return f"<node depth={self.depth} in_key={self.in_key}>"
+        return f"<node depth={self.depth}>"
 
 
 class LeafNode:
     """Leaf for the suffix starting at ``spos``; its label runs to the window head."""
 
-    __slots__ = ("parent", "spos", "in_key", "prim", "plp_inv")
+    __slots__ = ("parent", "spos", "prim", "plp_inv")
 
     children = None  # shared marker so `node.children is None` tests leafness
 
-    def __init__(self, parent, spos, in_key):
+    def __init__(self, parent, spos):
         self.parent = parent
         self.spos = spos
-        self.in_key = in_key
         self.prim = False
         self.plp_inv = None   # secondary node whose pointer targets this leaf
 
@@ -160,7 +160,7 @@ class SlidingSuffixTree:
         self.buf = bytearray(capacity)
         self.mode = mode
         self.counters = Counters()
-        self.root = InternalNode(parent=None, depth=0, in_key=None)
+        self.root = InternalNode(parent=None, depth=0)
         self.ins = self.root
         self.proj = 0
         self._leaf_slots: list = [None] * capacity
@@ -330,17 +330,16 @@ class SlidingSuffixTree:
                         raise InvariantError("suffix link pending at a mid-edge locus")
                     proj += 1
                     break
-                # split the edge ins -> below at the locus
-                key = below.in_key
-                w = InternalNode(ins, ins.depth + proj, key)
-                ins.children[key] = w
+                # split the edge ins -> below at the locus; `canonize` reached
+                # below under the symbol at head - proj + 1
+                w = InternalNode(ins, ins.depth + proj)
+                ins.children[buf[(head - proj) % cap]] = w
                 w.children[mid] = below
-                below.in_key = mid
                 below.parent = w
                 nodes += 1
                 split_child = below
             spos = head + 1 - w.depth
-            u = LeafNode(w, spos, sym)
+            u = LeafNode(w, spos)
             w.children[sym] = u
             slot = (spos - 1) % cap
             if slots[slot] is not None:
@@ -401,9 +400,11 @@ class SlidingSuffixTree:
             else:
                 self.ins = ins.suffix_link
         else:
+            # u spells T[tail..head], so it hangs from each node on its path
+            # under the window symbol just past that node's depth
             self.maint.on_leaf_deleting(u, w)
             children = w.children
-            del children[u.in_key]
+            del children[self.buf[(slot + w.depth) % cap]]
             slots[slot] = None
             u.parent = None
             u.plp_inv = None
@@ -416,8 +417,7 @@ class SlidingSuffixTree:
                     # the locus representation counted from w; re-anchor it
                     self.proj += w.depth - x.depth
                     self.ins = x
-                x.children[w.in_key] = y
-                y.in_key = w.in_key
+                x.children[self.buf[(slot + x.depth) % cap]] = y
                 y.parent = x
                 # every live reference into w was repaired above; severing its
                 # own references frees it immediately, without cycle collection
@@ -429,7 +429,10 @@ class SlidingSuffixTree:
         self.tail = tail + 1
 
     def slide(self, sym: Symbol) -> None:
-        """Append, first deleting the front symbol if the window is full."""
+        """Append, first deleting the front symbol if the window is full;
+        a symbol `append` would refuse is refused before the deletion."""
+        if type(sym) is not int or not 0 <= sym <= 255:
+            sym = as_symbol(sym)
         if self.head - self.tail + 1 >= self.capacity:
             self.delete_front()
         self.append(sym)

@@ -98,11 +98,27 @@ def test_wrong_suffix_link_is_a_structure_finding(mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_wrong_in_key_is_a_structure_finding(mode):
+def test_child_under_the_wrong_key_is_a_structure_finding(mode):
     tree = sound_tree(mode)
-    for node in tree.iter_nodes():
-        if node is not tree.root:
-            assert_reported(tree, "structure", node, "in_key", ord("z"))
+    moved = 0
+    for node in list(tree.iter_nodes()):
+        if node is tree.root:
+            continue
+        children = node.parent.children
+        saved = list(children.items())
+        key = next(k for k, child in saved if child is node)
+        del children[key]
+        children[ord("z")] = node
+        try:
+            found = checks.audit(tree)
+        finally:
+            children.clear()
+            children.update(saved)
+        assert any(f"edge key {ord('z')} does not match label start {key}" in v
+                   for v in found.structure), (node, found)
+        assert checks.audit(tree).violations() == []
+        moved += 1
+    assert moved == len(internals(tree)) + len(leaves(tree))
 
 
 def test_stale_credit_pointer_is_a_pointer_finding():

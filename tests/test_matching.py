@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slidingsuffix import SlidingSuffixTree, collect_subtree_leaves, locate
-from slidingsuffix.matching import find_all_counted
+from slidingsuffix import SlidingSuffixTree
+from slidingsuffix.matching import collect_subtree_leaves, find_all_counted, locate
 from slidingsuffix.oracle import naive_occurrences
 from slidingsuffix.verify import Lcg
 

@@ -95,6 +95,19 @@ def test_bool_symbol_rejected():
     assert tree.find_all(b"\x01") == []
 
 
+@pytest.mark.parametrize("mode", ["plp", "credit"])
+def test_rejected_slide_leaves_a_full_window_unchanged(mode):
+    tree = build("abc", mode=mode)
+    before = tree.stats()
+    for bad in (300, -1, True, b"xy", b"", "xy", None):
+        for feed in (tree.slide, lambda sym: tree.extend([sym])):
+            with pytest.raises(ValueError):
+                feed(bad)
+            assert tree.window_bytes() == b"abc" and len(tree) == 3
+            assert tree.stats() == before
+    assert checks.audit(tree).violations() == []
+
+
 def test_every_internal_node_gets_suffix_link():
     tree = build("mississippi")
     for node in tree.iter_nodes():
