@@ -12,6 +12,8 @@ chain of updates as long as the window depth; the pointer scheme in
 
 from __future__ import annotations
 
+from . import tree as _tree
+
 
 class CreditMaintenance:
     """Hook implementation installed on trees in ``"credit"`` mode.
@@ -28,8 +30,7 @@ class CreditMaintenance:
     def leaf_for(self, node):
         leaf = self.tree.leaf_at(node.lp)
         if leaf is None:
-            from .tree import InvariantError
-            raise InvariantError(f"stored leaf start {node.lp} went stale")
+            raise _tree.InvariantError(f"stored leaf start {node.lp} went stale")
         return leaf
 
     def update(self, v, k):

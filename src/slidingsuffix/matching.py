@@ -17,12 +17,14 @@ recovered from one extra lrs occurrence found through a leaf pointer:
 * pattern longer than lrs: no such occurrence can fit;
 * pattern exactly lrs-sized: the only candidate start is ``|W|-|lrs|+1``,
   a hit exactly when the pattern's locus is the lrs locus;
-* pattern shorter than lrs: let the earlier lrs occurrence start at p2. If
-  it does not overlap the final one, hits inside it shift forward by the
-  distance between the two occurrences.  If it overlaps, the overlap makes
-  the whole stretch periodic and hits inside one period repeat at every
-  multiple of the period.  Either way a derived hit is kept only if the
-  pattern fits inside the window.
+* pattern shorter than lrs: let the earlier lrs occurrence start at p2,
+  and let the period be ``p1 - p2``, the distance to the final occurrence
+  at p1.  A hit k at or after p2 repeats at k + period, k + 2*period, ...
+  for as long as the pattern fits, that is up to ``|W| - |pattern| + 1``.
+  When the two occurrences do not overlap, the period is at least the lrs
+  length and only the first repeat fits; when they overlap, the stretch
+  from p2 to the end is periodic and every repeat is a hit.  Only leaf hits
+  (starts before p1) are repeated, which covers every hit inside one period.
 
 Positions are window-relative and 1-based throughout.
 """
@@ -157,18 +159,14 @@ def find_all(tree, pattern, counted=False):
             below = tree.canonize()
             lead = below if below.children is None else tree.maint.leaf_for(below)
             p2 = lead.spos - tail + 1
-            q2 = p2 + lrs - 1
             if p2 >= p1:
                 raise _tree.InvariantError(f"leaf {p2} below the lrs locus must "
                                            f"start before {p1}")
+            period = p1 - p2
             last = wlen - m + 1  # the last start at which the pattern fits
-            if q2 < p1:
-                shift = p1 - p2
-                out += [k + shift for k in out if p2 <= k <= q2 and k + shift <= last]
-            else:
-                period = p1 - p2
-                out += [pos for k in out if p2 <= k < p1
-                        for pos in range(k + period, last + 1, period)]
+            stop = last - period  # the last hit that repeats inside the window
+            out += [pos for k in out if p2 <= k <= stop
+                    for pos in range(k + period, last + 1, period)]
         out.sort()
     return (out, edges) if counted else out
 

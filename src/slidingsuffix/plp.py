@@ -11,7 +11,9 @@ handful of flag/pointer writes restore the invariants.
 
 Each leaf also records the secondary node whose pointer targets it
 (``plp_inv``), so the one pointer that must be rewired on a primary-leaf
-deletion is found in O(1).
+deletion is found in O(1).  The root needs no case of its own: it is the
+secondary node at the top of its path, the leaf ending that path names it
+in ``plp_inv``, and on an empty tree it points at itself.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ class PlpMaintenance:
     """
 
     def __init__(self, tree):
-        self.tree = tree
         self.counters = tree.counters
+        tree.root.plp = tree.root  # empty-tree sentinel; the root stays secondary
 
     # -- queries -----------------------------------------------------------
 
@@ -110,38 +112,31 @@ class PlpMaintenance:
 
         Called while u is still attached; the caller afterwards removes u
         and, if w is a non-root node left with one child, merges w away,
-        which needs no repair beyond the case analysis here.
+        which needs no repair beyond the case analysis here.  The root is
+        an ordinary secondary node that never merges: its primary leaf's
+        ``plp_inv`` names it like any other path head.
         """
-        if w is self.tree.root:
-            if not u.prim:
-                return  # a secondary leaf under the root takes its path with it
-            if len(w.children) == 1:
-                # the tree empties: the root points at itself again
-                w.plp = w
-                n = 1
-            else:
-                # promote some secondary sibling to carry the root's path
-                y = _secondary_child(w)
-                v = y if y.children is None else y.plp
-                y.prim = True
-                w.plp = v
-                v.plp_inv = w
-                n = 3
-        elif u.prim:
-            if len(w.children) == 2 and not w.prim:
+        merges = len(w.children) == 2 and not w.prim and w.parent is not None
+        if u.prim:
+            if merges:
                 # w is secondary with two children: the path started at w,
                 # and both w and u disappear together
                 return
-            # the path through u survives above w (or above the merged
-            # edge): reroute it through a promoted sibling
-            y = _secondary_child(w)
-            v = y if y.children is None else y.plp
             z = u.plp_inv
-            y.prim = True
-            z.plp = v
-            v.plp_inv = z
-            n = 3
-        elif len(w.children) == 2 and not w.prim:
+            if len(w.children) == 1:
+                # only the root loses its last child: it points at itself
+                z.plp = z
+                n = 1
+            else:
+                # the path through u survives above w (or above the merged
+                # edge): reroute it through a promoted sibling
+                y = _secondary_child(w)
+                v = y if y.children is None else y.plp
+                y.prim = True
+                z.plp = v
+                v.plp_inv = z
+                n = 3
+        elif merges:
             # w merges away and its path must restart at the surviving
             # child, which had been primary
             for y in w.children.values():
@@ -157,8 +152,8 @@ class PlpMaintenance:
                 v.plp_inv = y
                 n = 3
         else:
-            # a secondary leaf under a surviving (or primary) parent needs
-            # no repair at all
+            # a secondary leaf under a parent that survives (the root
+            # always does) takes only its own path with it
             return
         c = self.counters
         c.plp_field_writes_total += n

@@ -164,11 +164,7 @@ class SlidingSuffixTree:
         self.ins = self.root
         self.proj = 0
         self._leaf_slots: list = [None] * capacity
-        if mode == "plp":
-            self.maint = PlpMaintenance(self)
-            self.root.plp = self.root  # empty-tree sentinel; the root stays secondary
-        else:
-            self.maint = CreditMaintenance(self)
+        self.maint = (PlpMaintenance if mode == "plp" else CreditMaintenance)(self)
 
     # -- introspection ----------------------------------------------------
 
@@ -407,7 +403,6 @@ class SlidingSuffixTree:
             del children[self.buf[(slot + w.depth) % cap]]
             slots[slot] = None
             u.parent = None
-            u.plp_inv = None
             counters = self.counters
             counters.leaves_deleted += 1
             if len(children) == 1 and w is not self.root:
@@ -421,6 +416,7 @@ class SlidingSuffixTree:
                 y.parent = x
                 # every live reference into w was repaired above; severing its
                 # own references frees it immediately, without cycle collection
+                # (w.plp may name u, whose plp_inv names w)
                 children.clear()
                 w.parent = None
                 w.suffix_link = None

@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import slidingsuffix
 from slidingsuffix import SlidingSuffixTree
 from slidingsuffix import checks
 from slidingsuffix.oracle import naive_lrs, naive_suffix_tree
+from slidingsuffix.verify import Lcg
 
 from conftest import build, node_by_string
 
@@ -285,6 +287,24 @@ def test_node_churn_stays_linear():
     for sym in stream:
         tree.slide(sym)
     assert tree.counters.churn() <= 4 * tree.head
+
+
+@pytest.mark.parametrize("mode", ["plp", "credit"])
+def test_sliding_leaves_no_cyclic_garbage(mode):
+    # departing leaves and merged nodes must be freed by reference counting
+    # alone: a cycle left behind would pile up until the collector runs
+    gc.disable()
+    try:
+        for sigma, cap, slides in ((2, 64, 20000), (4, 1000, 20000),
+                                   (1, 50, 2000), (3, 7, 5000)):
+            rng = Lcg(sigma * cap)
+            tree = SlidingSuffixTree(cap, mode=mode)
+            gc.collect()  # earlier garbage: the previous tree's parent links are cycles
+            for _ in range(slides):
+                tree.slide(rng.draw(sigma))
+            assert gc.collect() == 0, (sigma, cap, slides)
+    finally:
+        gc.enable()
 
 
 def test_invariant_checks_survive_python_O():
