@@ -2,11 +2,10 @@
 
 The pattern is located by descending from the root.  Edge labels are read
 in place: an edge's start is derived from a leaf pointer (``spos`` plus the
-parent's depth), and the rest of its label is compared with a slice of the
-window's ring buffer, in two pieces when the label runs across the buffer's
-end.  The first symbol of each edge is not compared again, since the child
-lookup already matched it as the edge's key (`checks.audit` checks each key
-against its label).
+parent's depth), and the rest of its label is compared with one slice of
+the window's mirrored ring buffer.  The first symbol of each edge is not
+compared again, since the child lookup already matched it as the edge's key
+(`checks.audit` checks each key against its label).
 
 Leaves correspond exactly to the suffixes longer than the longest repeating
 suffix (lrs), so a subtree traversal below the pattern's locus reports every
@@ -83,17 +82,11 @@ def _locate(tree, p: bytes):
         if j > n:
             j = n
             take = n - i
-        # the key matched p[i]; compare positions lo+1 .. lo+take-1, from
-        # buffer slot a on, with p[i+1:j]
+        # the key matched p[i]; positions lo+1 .. lo+take-1 start at slot a
+        # and, the ring being mirrored, are one slice to compare with p[i+1:j]
         a = lo % cap
-        b = a + take - 1
-        if b <= cap:
-            if buf[a:b] != p[i + 1:j]:
-                return None, 0, edges
-        else:  # the label runs across the end of the buffer
-            cut = i + 1 + cap - a
-            if buf[a:] != p[i + 1:cut] or buf[:b - cap] != p[cut:j]:
-                return None, 0, edges
+        if buf[a:a + take - 1] != p[i + 1:j]:
+            return None, 0, edges
         i = j
         node = child
     return node, take, edges

@@ -23,20 +23,6 @@ class TreeSketch(NamedTuple):
     leaf_starts: tuple
 
 
-def naive_lrs(w) -> int:
-    """Length of the longest suffix of w occurring at least twice in w."""
-    n = len(w)
-    for length in range(n - 1, 0, -1):
-        suffix = w[n - length:]
-        hits = 0
-        for i in range(n - length + 1):
-            if w[i:i + length] == suffix:
-                hits += 1
-                if hits >= 2:
-                    return length
-    return 0
-
-
 def naive_suffix_tree(w) -> TreeSketch:
     """Sketch of the implicit suffix tree of w, read off its sorted suffixes.
 

@@ -10,9 +10,11 @@ that need one read it from the window.
 
 The tree owns the window's ring buffer.  Positions are absolute and 1-based:
 the k-th symbol ever appended lives at position k until `delete_front`
-retires it, the live range is ``tail..head`` (empty when ``head < tail``),
-and position k lives in slot ``(k - 1) % capacity`` of ``buf``, which is
-injective over the live range.
+retires it, and the live range is ``tail..head`` (empty when ``head < tail``).
+``buf`` is mirrored: it holds ``2 * capacity`` bytes, and each live position
+k lives in slot ``a = (k - 1) % capacity`` and again in slot ``a + capacity``.
+So a run of n <= capacity positions starting at slot a is ``buf[a:a + n]``,
+one slice with no wrap-around.
 
 Two interchangeable leaf-pointer maintenance modes exist:
 
@@ -157,7 +159,7 @@ class SlidingSuffixTree:
         self.capacity = capacity
         self.tail = 1  # position of the oldest live symbol
         self.head = 0  # position of the newest
-        self.buf = bytearray(capacity)
+        self.buf = bytearray(2 * capacity)
         self.mode = mode
         self.counters = Counters()
         self.root = InternalNode(parent=None, depth=0)
@@ -181,12 +183,8 @@ class SlidingSuffixTree:
             return b""
         if not (self.tail <= lo and hi <= self.head):
             raise IndexError(f"range [{lo}..{hi}] outside window [{self.tail}..{self.head}]")
-        cap = self.capacity
-        a = (lo - 1) % cap
-        b = (hi - 1) % cap
-        if a <= b:
-            return bytes(self.buf[a:b + 1])
-        return bytes(self.buf[a:]) + bytes(self.buf[:b + 1])
+        a = (lo - 1) % self.capacity
+        return bytes(self.buf[a:a + hi - lo + 1])
 
     def window_bytes(self) -> bytes:
         """The whole live window, oldest symbol first."""
@@ -358,7 +356,8 @@ class SlidingSuffixTree:
         counters.explicit_extensions += extensions
         counters.nodes_created += nodes
         counters.leaves_created += leaves
-        buf[head % cap] = sym
+        at = head % cap
+        buf[at] = buf[at + cap] = sym
         self.head = head + 1
 
     def delete_front(self) -> None:
@@ -400,7 +399,7 @@ class SlidingSuffixTree:
             # under the window symbol just past that node's depth
             self.maint.on_leaf_deleting(u, w)
             children = w.children
-            del children[self.buf[(slot + w.depth) % cap]]
+            del children[self.buf[slot + w.depth]]
             slots[slot] = None
             u.parent = None
             counters = self.counters
@@ -412,7 +411,7 @@ class SlidingSuffixTree:
                     # the locus representation counted from w; re-anchor it
                     self.proj += w.depth - x.depth
                     self.ins = x
-                x.children[self.buf[(slot + x.depth) % cap]] = y
+                x.children[self.buf[slot + x.depth]] = y
                 y.parent = x
                 # every live reference into w was repaired above; severing its
                 # own references frees it immediately, without cycle collection

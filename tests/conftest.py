@@ -11,6 +11,20 @@ def build(text, capacity=None, mode="plp"):
     return tree
 
 
+def naive_lrs(w) -> int:
+    """Length of the longest suffix of w occurring at least twice in w."""
+    n = len(w)
+    for length in range(n - 1, 0, -1):
+        suffix = w[n - length:]
+        hits = 0
+        for i in range(n - length + 1):
+            if w[i:i + length] == suffix:
+                hits += 1
+                if hits >= 2:
+                    return length
+    return 0
+
+
 def node_by_string(tree, s):
     """The internal node spelling s, or None."""
     target = s.encode("latin-1") if isinstance(s, str) else bytes(s)

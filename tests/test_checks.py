@@ -6,6 +6,7 @@ import json
 import pytest
 
 from slidingsuffix import checks, cli, oracle
+from slidingsuffix.tree import InternalNode
 from slidingsuffix.verify import Lcg
 
 from conftest import build
@@ -39,8 +40,9 @@ def subtree_leaves(node):
     return out
 
 
-def assert_reported(tree, family, node, field, value):
-    """Set node.field to value, audit, restore; the family must report it."""
+def assert_reported(tree, family, node, field, value, text=None):
+    """Set node.field to value, audit, restore; the family must report it,
+    as the finding ``text`` when one is given."""
     saved = getattr(node, field)
     setattr(node, field, value)
     try:
@@ -48,6 +50,7 @@ def assert_reported(tree, family, node, field, value):
     finally:
         setattr(node, field, saved)
     assert getattr(found, family), (field, node, found)
+    assert text is None or text in getattr(found, family), (text, found)
     assert checks.audit(tree).violations() == []
 
 
@@ -119,6 +122,112 @@ def test_child_under_the_wrong_key_is_a_structure_finding(mode):
         assert checks.audit(tree).violations() == []
         moved += 1
     assert moved == len(internals(tree)) + len(leaves(tree))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_broken_shape_is_a_structure_finding(mode):
+    tree = sound_tree(mode)
+    name = checks._name
+    node = next(n for n in internals(tree) if len(n.children) == 2)
+    assert_reported(tree, "structure", node, "children", dict([*node.children.items()][:1]),
+                    f"non-root {name(node)} has 1 children")
+    leaf = next(n for n in leaves(tree) if n.parent is not tree.root)
+    assert_reported(tree, "structure", leaf, "parent", tree.root,
+                    f"parent link broken at {name(leaf)}")
+    # an internal node also listed under the root, whose depth is not its parent's
+    deep = next(n for n in internals(tree) if n.parent is not tree.root)
+    assert_reported(tree, "structure", tree.root, "children",
+                    {**tree.root.children, ord("z"): deep},
+                    f"depth inconsistency at {name(deep)}")
+    first = tree.leaf_at(tree.tail)
+    assert_reported(tree, "structure", first, "spos", tree.tail - 1,
+                    f"leaf start {tree.tail - 1} outside window")
+    slots = list(tree._leaf_slots)
+    slots[(tree.tail - 1) % tree.capacity] = None
+    assert_reported(tree, "structure", tree, "_leaf_slots", slots,
+                    f"leaf slot lookup broken for spos {tree.tail}")
+    assert_reported(tree, "structure", node, "suffix_link", None,
+                    f"{name(node)} lacks a suffix link")
+    assert_reported(tree, "structure", node, "suffix_link", InternalNode(None, node.depth - 1),
+                    f"suffix link of {name(node)} targets a dead node")
+    wlen = len(tree)
+    assert_reported(tree, "structure", tree, "proj", wlen - tree.ins.depth,
+                    f"lrs length {wlen} impossible for window of {wlen}")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_labels_outside_the_window_are_freshness_findings(mode):
+    tree = sound_tree(mode)
+    tail, head = tree.tail, tree.head
+    top = next(n for n in leaves(tree) if n.parent is tree.root)
+    assert_reported(tree, "freshness", top, "spos", head + 1,
+                    f"empty edge label <{head + 1},{head}> into leaf {head + 1}")
+    assert_reported(tree, "freshness", top, "spos", tail - 1,
+                    f"edge label <{tail - 1},{head}> into leaf {tail - 1} not fresh "
+                    f"for window [{tail}..{head}]")
+    # the label itself lies inside the window, the parent's string in front
+    # of it does not
+    low = next(n for n in leaves(tree) if n.parent is not tree.root)
+    depth = low.parent.depth
+    assert_reported(tree, "freshness", low, "spos", tail - 1,
+                    f"edge label <{tail - 1 + depth},{head}> below depth {depth} not "
+                    f"strongly fresh in [{tail}..{head}]")
+
+
+def test_empty_root_pointing_elsewhere_is_a_pointer_finding():
+    tree = build("a", capacity=2)
+    tree.delete_front()
+    assert checks.audit(tree).violations() == []
+    assert_reported(tree, "pointers", tree.root, "plp", None,
+                    "empty root must point at itself")
+
+
+def test_credit_pointer_to_no_leaf_is_a_pointer_finding():
+    tree = sound_tree("credit")
+    # the suffix starting at head is no longer than the lrs, so no leaf has it
+    assert tree.lrs_len() > 0 and tree.leaf_at(tree.head) is None
+    node = internals(tree)[0]
+    assert_reported(tree, "pointers", node, "lp", tree.head,
+                    f"{checks._name(node)} stores start {tree.head} of no live leaf")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_audit_against_another_window_is_a_topology_finding(mode):
+    tree = sound_tree(mode)
+    w = tree.window_bytes()
+    other = oracle.naive_suffix_tree(w[:-1] + b"z")
+    found = checks.audit(tree, other)
+    got = found.sketch
+    assert found.topology == [
+        f"internal nodes {got.internal_strings!r} != oracle {other.internal_strings!r}",
+        f"leaf starts {got.leaf_starts!r} != oracle {other.leaf_starts!r}",
+        f"lrs length {tree.lrs_len()} != oracle {len(w) - len(other.leaf_starts)}"]
+    assert found.violations() == found.topology
+    assert checks.audit(tree).violations() == []
+
+
+def test_counter_bounds_are_counter_findings():
+    tree = sound_tree("plp")
+    c = tree.counters
+    assert_reported(tree, "counters", c, "plp_field_writes_max_event", 5,
+                    "a leaf event performed 5 pointer writes")
+    churn = c.churn() + 4 * tree.head
+    assert_reported(tree, "counters", c, "nodes_created", c.nodes_created + 4 * tree.head,
+                    f"node churn {churn} exceeds 4x pushed symbols ({tree.head})")
+
+
+def test_wrong_answers_are_matching_findings(monkeypatch):
+    tree = sound_tree("plp")
+    w = tree.window_bytes()
+    p = w[-3:]
+    got = tree.find_all(p)
+    assert checks.matching_violations(tree, [p]) == []
+    other = w[:-1] + b"z"
+    assert checks.matching_violations(tree, [p], other) == [
+        f"find_all({p!r}) = {got} but scan says {oracle.naive_occurrences(other, p)}"]
+    monkeypatch.setattr(checks, "find_all_counted", lambda t, q: (t.find_all(q), 100))
+    assert checks.matching_violations(tree, [p]) == [
+        f"find_all({p!r}) touched 100 edges for {len(got)} hits"]
 
 
 def test_stale_credit_pointer_is_a_pointer_finding():

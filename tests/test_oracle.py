@@ -2,8 +2,9 @@ import itertools
 
 from hypothesis import given, strategies as st
 
-from slidingsuffix.oracle import (TreeSketch, naive_lrs, naive_occurrences,
-                                  naive_suffix_tree)
+from slidingsuffix.oracle import TreeSketch, naive_occurrences, naive_suffix_tree
+
+from conftest import naive_lrs
 
 
 def reference_suffix_tree(w) -> TreeSketch:

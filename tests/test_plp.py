@@ -1,9 +1,12 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from slidingsuffix import SlidingSuffixTree
 from slidingsuffix import checks
-from slidingsuffix.verify import Lcg
+from slidingsuffix.verify import (Lcg, build_deletion_worstcase,
+                                  build_insertion_worstcase, drive)
 
 from conftest import build, node_by_string
 
@@ -220,12 +223,93 @@ def test_fresh_pairs_strongly_fresh_over_sliding_runs(stream, cap):
 
 # -- cost bound ----------------------------------------------------------------------
 
+ABSENT = object()  # a field the node's class does not have, or never set
+PLP_FIELDS = ("prim", "plp", "plp_inv")
+
+
+def plp_fields(tree):
+    """Every (node, field) of the live tree mapped to its value."""
+    return {(node, name): getattr(node, name, ABSENT)
+            for node in tree.iter_nodes() for name in PLP_FIELDS}
+
+
+class WriteObserver:
+    """Wraps the leaf-event hooks of plp trees and checks each call.
+
+    Around every call it compares the pointer fields of every live node
+    before and after, and counts the values that changed: the writes the
+    call really made.  The call's own count is its change to
+    ``plp_field_writes_total``, an upper bound that also counts assignments
+    that change nothing.  Each call must observe at most what it declares,
+    and declare at most 4.
+    """
+
+    def __init__(self, *trees):
+        self.calls = self.observed = self.declared = 0
+        self.max_observed = self.max_declared = 0
+        for tree in trees:
+            self.watch(tree)
+
+    def watch(self, tree):
+        for name in ("on_leaf_inserted", "on_leaf_deleting", "on_leaf_shortened"):
+            setattr(tree.maint, name, self._wrap(tree, getattr(tree.maint, name)))
+        return tree
+
+    def _wrap(self, tree, hook):
+        counters = tree.counters
+
+        def observed_hook(*args):
+            before = plp_fields(tree)
+            total = counters.plp_field_writes_total
+            hook(*args)
+            declared = counters.plp_field_writes_total - total
+            observed = sum(before.get(key, ABSENT) is not value
+                           for key, value in plp_fields(tree).items())
+            assert observed <= declared <= 4, (hook.__name__, args, observed, declared)
+            self.calls += 1
+            self.observed += observed
+            self.declared += declared
+            self.max_observed = max(self.max_observed, observed)
+            self.max_declared = max(self.max_declared, declared)
+
+        return observed_hook
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.text(alphabet="abcd", min_size=1, max_size=80).map(str.encode),
        st.integers(1, 12))
 def test_every_event_costs_at_most_four_writes(stream, cap):
     tree = SlidingSuffixTree(cap)
+    WriteObserver(tree)
     for sym in stream:
         tree.slide(sym)
         assert tree.counters.plp_field_writes_max_event <= 4
     assert checks.audit(tree).pointers == []
+
+
+def test_seeded_streams_observe_at_most_four_writes_per_event():
+    obs = WriteObserver()
+    for seed in range(1, 301):
+        rng = Lcg(seed)
+        tree = obs.watch(SlidingSuffixTree(1 + rng.draw(20)))
+        for _ in islice(drive(rng, [tree], 1 + (seed - 1) % 4), 200):
+            pass
+    assert obs.calls > 40_000
+    # the declared count is a bound, not the count: it includes no-op writes
+    assert 0 < obs.observed < obs.declared
+    assert (obs.max_observed, obs.max_declared) == (3, 4)
+
+
+@pytest.mark.parametrize("n", [10, 100])
+def test_worst_case_events_observe_at_most_four_writes(n):
+    # appending c inserts n leaves, each opening a path of its own: the one
+    # declared write per leaf (u.prim = False) changes nothing
+    tree = build_insertion_worstcase(n, "plp")
+    obs = WriteObserver(tree)
+    tree.append("c")
+    assert (obs.calls, obs.observed, obs.declared) == (n, 0, n)
+    # deleting the primary leaf of a^n b reroutes the root's path: 3 writes
+    tree = build_deletion_worstcase(n, "plp")
+    obs = WriteObserver(tree)
+    tree.delete_front()
+    assert (obs.calls, obs.observed, obs.declared) == (1, 3, 3)

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 import slidingsuffix
 from slidingsuffix import SlidingSuffixTree
 from slidingsuffix import checks
-from slidingsuffix.oracle import naive_lrs, naive_suffix_tree
+from slidingsuffix.oracle import naive_suffix_tree
 from slidingsuffix.verify import Lcg
 
-from conftest import build, node_by_string
+from conftest import build, naive_lrs, node_by_string
 
 
 # -- construction ----------------------------------------------------------

@@ -112,7 +112,10 @@ def test_matches_append_only_shadow_log(ops, capacity):
                 log.append(sym)
         elif len(tree) > 0:
             tree.delete_front()
-    assert tree.head == len(log)
+    assert tree.head == len(log) and len(tree.buf) == 2 * capacity
     for k in range(tree.tail, tree.head + 1):
         assert tree.substring(k, k) == bytes([log[k - 1]])
+        # the ring is mirrored: each live symbol sits in both halves
+        a = (k - 1) % capacity
+        assert tree.buf[a] == tree.buf[a + capacity] == log[k - 1]
     assert tree.window_bytes() == bytes(log[tree.tail - 1:])
