@@ -24,6 +24,17 @@ Two interchangeable leaf-pointer maintenance modes exist:
   start of some descendant leaf plus a binary credit, refreshed by update
   chains that may climb the whole tree.
 
+Departed objects are recycled.  `delete_front` puts each leaf it detaches
+and each node it merges away on a spare list, and `append` takes an object
+from the list when one is there, resetting it to the state its constructor
+gives, and constructs a new one only when the list is empty.  So the
+leaves ever constructed number the peak of live leaves, and live plus
+spare leaves equal that peak at every moment; the same holds for internal
+nodes.  Both peaks are at most ``capacity``, so space stays O(W) and never
+exceeds the largest tree this window has held.  A steady slide then
+allocates and frees no node, so it gives the cyclic collector no cause to
+run.
+
 The active point (the locus of the longest repeating suffix) is represented
 by ``(ins, proj)``: the closest node at or above the locus and the number of
 symbols hanging below it.  The pending descent implied by ``proj`` is
@@ -166,6 +177,8 @@ class SlidingSuffixTree:
         self.ins = self.root
         self.proj = 0
         self._leaf_slots: list = [None] * capacity
+        self._spare_leaves: list = []  # detached leaves, reused by `append`
+        self._spare_nodes: list = []   # merged internal nodes, likewise
         self.maint = (PlpMaintenance if mode == "plp" else CreditMaintenance)(self)
 
     # -- introspection ----------------------------------------------------
@@ -290,6 +303,8 @@ class SlidingSuffixTree:
         slots = self._leaf_slots
         maint = self.maint
         root = self.root
+        spare_leaves = self._spare_leaves
+        spare_nodes = self._spare_nodes
         ins = self.ins
         proj = self.proj
         extensions = nodes = leaves = 0
@@ -326,14 +341,31 @@ class SlidingSuffixTree:
                     break
                 # split the edge ins -> below at the locus; `canonize` reached
                 # below under the symbol at head - proj + 1
-                w = InternalNode(ins, ins.depth + proj)
+                if spare_nodes:
+                    # a merged node, already without children, suffix link
+                    # or pointer; the rest as `InternalNode` sets it
+                    w = spare_nodes.pop()
+                    w.parent = ins
+                    w.depth = ins.depth + proj
+                    w.prim = False
+                    w.cred = 0
+                    w.lp = 0
+                else:
+                    w = InternalNode(ins, ins.depth + proj)
                 ins.children[buf[(head - proj) % cap]] = w
                 w.children[mid] = below
                 below.parent = w
                 nodes += 1
                 split_child = below
             spos = head + 1 - w.depth
-            u = LeafNode(w, spos)
+            if spare_leaves:
+                u = spare_leaves.pop()
+                u.parent = w
+                u.spos = spos
+                u.prim = False
+                u.plp_inv = None
+            else:
+                u = LeafNode(w, spos)
             w.children[sym] = u
             slot = (spos - 1) % cap
             if slots[slot] is not None:
@@ -367,7 +399,9 @@ class SlidingSuffixTree:
         leaf, the leaf is shortened in place (its start index moves to the
         rightmost occurrence) and the active point drops one symbol.
         Otherwise the leaf is detached and, if its parent is left
-        non-branching, the two surrounding edges merge.
+        non-branching, the two surrounding edges merge.  The detached leaf
+        and the merged node go on the spare lists that `append` draws from;
+        a shortened leaf keeps its place in the tree.
         """
         tail = self.tail
         if self.head < tail:
@@ -402,6 +436,7 @@ class SlidingSuffixTree:
             del children[self.buf[slot + w.depth]]
             slots[slot] = None
             u.parent = None
+            self._spare_leaves.append(u)
             counters = self.counters
             counters.leaves_deleted += 1
             if len(children) == 1 and w is not self.root:
@@ -413,13 +448,14 @@ class SlidingSuffixTree:
                     self.ins = x
                 x.children[self.buf[slot + x.depth]] = y
                 y.parent = x
-                # every live reference into w was repaired above; severing its
-                # own references frees it immediately, without cycle collection
-                # (w.plp may name u, whose plp_inv names w)
+                # every live reference into w was repaired above; clearing its
+                # own leaves the spare `append` expects: no children, suffix
+                # link or pointer (w.plp may name u, whose plp_inv names w)
                 children.clear()
                 w.parent = None
                 w.suffix_link = None
                 w.plp = None
+                self._spare_nodes.append(w)
                 counters.nodes_deleted += 1
         self.tail = tail + 1
 

@@ -39,3 +39,31 @@ def node_by_string(tree, s):
             lo, hi = tree.edge_label(child)
             stack.append((child, cur + tree.substring(lo, hi)))
     return None
+
+
+def spare_problems(tree) -> list:
+    """What is wrong with the tree's spare lists of retired leaves and
+    nodes: a spare still attached or holding children, a spare listed
+    twice, or a spare that the live tree can still reach."""
+    problems = []
+    spares = tree._spare_leaves + tree._spare_nodes
+    spare_ids = {id(s) for s in spares}
+    if len(spare_ids) != len(spares):
+        problems.append("a spare is listed twice")
+    for s in spares:
+        if s.parent is not None:
+            problems.append(f"spare {s!r} still has a parent")
+        if s.children:
+            problems.append(f"spare {s!r} still has children")
+    reachable = []
+    for node in tree.iter_nodes():
+        reachable.append(node)
+        if node.children is not None:
+            reachable.append(node.suffix_link)
+            if tree.mode == "plp" and not node.prim:
+                reachable.append(node.plp)
+    reachable += tree._leaf_slots
+    for obj in reachable:
+        if id(obj) in spare_ids:
+            problems.append(f"spare {obj!r} is reachable from the live tree")
+    return problems

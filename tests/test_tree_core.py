@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 import slidingsuffix
 from slidingsuffix import SlidingSuffixTree
 from slidingsuffix import checks
+from slidingsuffix.tree import InternalNode, LeafNode
 from slidingsuffix.oracle import naive_suffix_tree
 from slidingsuffix.verify import Lcg
 
-from conftest import build, naive_lrs, node_by_string
+from conftest import build, naive_lrs, node_by_string, spare_problems
 
 
 # -- construction ----------------------------------------------------------
@@ -289,22 +290,101 @@ def test_node_churn_stays_linear():
     assert tree.counters.churn() <= 4 * tree.head
 
 
+def bursty_runs(rng, n, max_run):
+    """n symbols of alternating runs of a and b, each 1 + draw(max_run) long:
+    the symbol ending a run inserts a burst of leaves."""
+    out = bytearray()
+    sym = ord("a")
+    while len(out) < n:
+        out += bytes([sym]) * (1 + rng.draw(max_run))
+        sym ^= ord("a") ^ ord("b")
+    return bytes(out[:n])
+
+
+def sliding_streams():
+    """(label, capacity, symbols): seeded LCG noise, and a run stream."""
+    for sigma, cap, slides in ((2, 64, 20000), (4, 1000, 20000),
+                               (1, 50, 2000), (3, 7, 5000)):
+        rng = Lcg(sigma * cap)
+        yield (sigma, cap), cap, bytes(rng.draw(sigma) for _ in range(slides))
+    yield "runs", 300, bursty_runs(Lcg(300), 20000, 100)
+
+
 @pytest.mark.parametrize("mode", ["plp", "credit"])
 def test_sliding_leaves_no_cyclic_garbage(mode):
-    # departing leaves and merged nodes must be freed by reference counting
-    # alone: a cycle left behind would pile up until the collector runs
+    # departing leaves and merged nodes are recycled, or freed without cycle
+    # collection: a cycle left behind would pile up until the collector runs
     gc.disable()
     try:
-        for sigma, cap, slides in ((2, 64, 20000), (4, 1000, 20000),
-                                   (1, 50, 2000), (3, 7, 5000)):
-            rng = Lcg(sigma * cap)
+        for label, cap, data in sliding_streams():
             tree = SlidingSuffixTree(cap, mode=mode)
             gc.collect()  # earlier garbage: the previous tree's parent links are cycles
-            for _ in range(slides):
-                tree.slide(rng.draw(sigma))
-            assert gc.collect() == 0, (sigma, cap, slides)
+            tree.extend(data)
+            assert gc.collect() == 0, label
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("mode", ["plp", "credit"])
+def test_recycling_builds_only_the_peak_tree(mode, monkeypatch):
+    # a node is constructed only when no spare is left, so live plus spare
+    # objects always equal the peak live count, and that is all ever built
+    built = {LeafNode: 0, InternalNode: 0}
+    for cls in built:
+        def counting_init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    for label, cap, data in sliding_streams():
+        tree = SlidingSuffixTree(cap, mode=mode)
+        built[LeafNode] = built[InternalNode] = 0  # not counting the root
+        c = tree.counters
+        peak_leaves = peak_nodes = 0
+        for sym in data:
+            tree.slide(sym)
+            leaves = c.leaves_created - c.leaves_deleted
+            nodes = c.nodes_created - c.nodes_deleted
+            peak_leaves = max(peak_leaves, leaves)
+            peak_nodes = max(peak_nodes, nodes)
+            assert leaves + len(tree._spare_leaves) == peak_leaves == built[LeafNode], label
+            assert nodes + len(tree._spare_nodes) == peak_nodes == built[InternalNode], label
+        live = list(tree.iter_nodes())
+        assert sum(n.children is None for n in live) == leaves, label
+        assert sum(n.children is not None for n in live) == nodes + 1, label
+        assert built[LeafNode] <= cap and built[InternalNode] <= cap, label
+        assert spare_problems(tree) == [], label
+        assert checks.audit(tree).violations() == [], label
+
+
+def _fields(obj, skip):
+    return {name: getattr(obj, name) for name in type(obj).__slots__ if name not in skip}
+
+
+@pytest.mark.parametrize("mode", ["plp", "credit"])
+def test_recycled_objects_reach_the_hook_as_if_new(mode):
+    # the hook of the leaf event that attaches a leaf, and a node split off
+    # for it, sees exactly the fields their constructors give
+    leaf_skip = ("parent", "spos")
+    node_skip = ("parent", "depth", "children")
+    new_leaf = _fields(LeafNode(None, 1), leaf_skip)
+    new_node = _fields(InternalNode(None, 1), node_skip)
+    reused_leaves = reused_nodes = 0
+    for label, cap, data in sliding_streams():
+        tree = SlidingSuffixTree(cap, mode=mode)
+        hook = tree.maint.on_leaf_inserted
+
+        def checked_hook(u, w, split_child):
+            assert _fields(u, leaf_skip) == new_leaf, (label, u)
+            if split_child is not None:
+                assert _fields(w, node_skip) == new_node, (label, w)
+            hook(u, w, split_child)
+
+        tree.maint.on_leaf_inserted = checked_hook
+        tree.extend(data)
+        c = tree.counters
+        reused_leaves += c.leaves_deleted - len(tree._spare_leaves)
+        reused_nodes += c.nodes_deleted - len(tree._spare_nodes)
+    assert reused_leaves > 10_000 and reused_nodes > 10_000
 
 
 def test_invariant_checks_survive_python_O():
