@@ -1,11 +1,14 @@
 """Online pattern matching over the live window using leaf pointers.
 
-The pattern is located by descending from the root.  Edge labels are read
-in place: an edge's start is derived from a leaf pointer (``spos`` plus the
-parent's depth), and the rest of its label is compared with one slice of
-the window's mirrored ring buffer.  The first symbol of each edge is not
-compared again, since the child lookup already matched it as the edge's key
-(`checks.audit` checks each key against its label).
+The pattern is located by a blind descent, as in Patricia tries and String
+B-trees: from the root, each step follows the child keyed by the pattern
+symbol at the current node's depth, and compares nothing else.  The descent
+stops at a leaf or at the first node at least as deep as the pattern.  Every
+leaf below that node spells the descended path, so the pattern occurs iff it
+is a prefix of that leaf's suffix.  One leaf pointer (``leaf_for``) names
+such a leaf, and the pattern is compared once with one slice of the
+window's mirrored ring buffer at the leaf's start.  A query therefore
+derives one leaf and compares one label, however many edges it descends.
 
 Leaves correspond exactly to the suffixes longer than the longest repeating
 suffix (lrs), so a subtree traversal below the pattern's locus reports every
@@ -47,6 +50,8 @@ def locate(tree, pattern):
     locus (the subtree holding every leaf with the pattern as prefix) and
     ``matched`` counts pattern symbols consumed on node's incoming edge;
     the locus sits exactly on node when matched equals the edge length.
+    The node is found by the blind descent of `_locate`, and the pattern is
+    compared once, against the window at one leaf below it.
     """
     node, matched, _ = _locate(tree, _pattern(pattern))
     if node is None:
@@ -55,41 +60,38 @@ def locate(tree, pattern):
 
 
 def _locate(tree, p: bytes):
-    """Descend from the root; returns (node, matched_on_edge, edges_touched)."""
-    buf = tree.buf
-    cap = tree.capacity
-    head = tree.head
-    leaf_for = tree.maint.leaf_for
-    node = tree.root
-    n = len(p)
-    i = take = edges = 0
-    while i < n:
-        children = node.children
-        if children is None:
-            return None, 0, edges
-        child = children.get(p[i])
+    """Blind descent; returns (node, matched_on_edge, edges_touched).
+
+    Children are chosen by ``p[depth]`` alone, down to a leaf or to the
+    first node of depth at least ``len(p)``.  Then one leaf below the node
+    (the node itself, or its leaf pointer) is read: the pattern occurs iff
+    the window holds it at that leaf's start.  A start too late for the
+    pattern to fit before the head is refused before the comparison, since
+    the mirrored slice would wrap into the window's oldest symbols.
+    """
+    m = len(p)
+    children = tree.root.children
+    depth = edges = 0
+    while True:
+        child = children.get(p[depth])
         if child is None:
             return None, 0, edges
         edges += 1
-        depth = node.depth
-        if child.children is None:
-            lo = child.spos + depth
-            take = head - lo + 1
-        else:
-            lo = leaf_for(child).spos + depth
-            take = child.depth - depth
-        j = i + take
-        if j > n:
-            j = n
-            take = n - i
-        # the key matched p[i]; positions lo+1 .. lo+take-1 start at slot a
-        # and, the ring being mirrored, are one slice to compare with p[i+1:j]
-        a = lo % cap
-        if buf[a:a + take - 1] != p[i + 1:j]:
-            return None, 0, edges
-        i = j
-        node = child
-    return node, take, edges
+        children = child.children
+        if children is None:
+            leaf = child
+            break
+        if child.depth >= m:
+            leaf = tree.maint.leaf_for(child)
+            break
+        depth = child.depth
+    k = leaf.spos
+    if k + m - 1 > tree.head:
+        return None, 0, edges
+    a = (k - 1) % tree.capacity
+    if tree.buf[a:a + m] != p:
+        return None, 0, edges
+    return child, m - depth, edges
 
 
 def collect_subtree_leaves(tree, node):

@@ -25,6 +25,50 @@ def naive_lrs(w) -> int:
     return 0
 
 
+def edgewise_locate(tree, p: bytes):
+    """Reference for `matching._locate`: descend edge by edge, comparing
+    each edge's label with the pattern as it goes.
+
+    Each edge's start is derived from a leaf pointer, and its label after
+    the key is compared with one slice of the mirrored ring.  Returns
+    ``(node, matched_on_edge, edges_touched)``, with node None when the
+    pattern is absent; the first mismatching edge ends the descent.
+    """
+    buf = tree.buf
+    cap = tree.capacity
+    head = tree.head
+    leaf_for = tree.maint.leaf_for
+    node = tree.root
+    n = len(p)
+    i = take = edges = 0
+    while i < n:
+        children = node.children
+        if children is None:
+            return None, 0, edges
+        child = children.get(p[i])
+        if child is None:
+            return None, 0, edges
+        edges += 1
+        depth = node.depth
+        if child.children is None:
+            lo = child.spos + depth
+            take = head - lo + 1
+        else:
+            lo = leaf_for(child).spos + depth
+            take = child.depth - depth
+        j = i + take
+        if j > n:
+            j = n
+            take = n - i
+        # the key matched p[i]; positions lo+1 .. lo+take-1 start at slot a
+        a = lo % cap
+        if buf[a:a + take - 1] != p[i + 1:j]:
+            return None, 0, edges
+        i = j
+        node = child
+    return node, take, edges
+
+
 def node_by_string(tree, s):
     """The internal node spelling s, or None."""
     target = s.encode("latin-1") if isinstance(s, str) else bytes(s)

@@ -24,16 +24,20 @@ def test_all_binary_streams_match_oracle_in_both_modes():
 
 
 def test_all_binary_windows_answer_every_short_pattern():
+    # each stream also slides through every shorter window, so the window
+    # starts at every slot of the ring and a query's one comparison reads
+    # across the ring's seam
     pats = [bytes(p) for length in (1, 2, 3, 4)
             for p in itertools.product(b"ab", repeat=length)]
     for n in range(1, 9):
         for bits in itertools.product(b"ab", repeat=n):
-            w = bytes(bits)
-            tree = SlidingSuffixTree(n)
-            for sym in w:
-                tree.append(sym)
-            for p in pats:
-                assert tree.find_all(p) == naive_occurrences(w, p), (w, p)
+            for cap, mode in itertools.product(range(1, n + 1), ("plp", "credit")):
+                tree = SlidingSuffixTree(cap, mode)
+                for sym in bits:
+                    tree.slide(sym)
+                w = bytes(bits[n - cap:])
+                for p in pats:
+                    assert tree.find_all(p) == naive_occurrences(w, p), (bits, cap, mode, p)
 
 
 def test_fibonacci_and_periodic_streams():

@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slidingsuffix import SlidingSuffixTree
-from slidingsuffix.matching import collect_subtree_leaves, find_all_counted, locate
+from slidingsuffix.matching import _locate, collect_subtree_leaves, find_all_counted, locate
 from slidingsuffix.oracle import naive_occurrences
 from slidingsuffix.verify import Lcg
 
-from conftest import build, node_by_string
+from conftest import build, edgewise_locate, node_by_string
 
 
 # -- find_all ------------------------------------------------------------------
@@ -115,6 +115,78 @@ def test_collect_counts_one_leaf_per_branch_at_least():
     assert len(got) >= len(tree.root.children)
 
 
+# -- the blind descent's one comparison ------------------------------------------
+
+MODES = ["plp", "credit"]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_pattern_that_would_wrap_the_ring_is_absent(mode):
+    # "c" occurs once, so the descent ends on the leaf at 3, whose suffix
+    # "cab" is shorter than the pattern; the mirrored 4-byte slice there
+    # runs on into the window's oldest symbol and reads "caba"
+    tree = build("abcab", mode=mode)
+    leaf, _ = locate(tree, "c")
+    assert leaf.children is None and leaf.spos == 3
+    assert bytes(tree.buf[2:6]) == b"caba"
+    assert locate(tree, "caba") is None
+    assert tree.find_all("caba") == []
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_symbol_inside_an_edge_differs(mode):
+    # the keys "a" (edge "ab") and "d" (leaf edge) both match "azd"; only
+    # the symbol inside the first edge differs
+    tree = build("xabcyabd", mode=mode)
+    node, _, edges = _locate(tree, b"azd")
+    assert node is None and edges == 2
+    ref_node, _, ref_edges = edgewise_locate(tree, b"azd")
+    assert ref_node is None and ref_edges == 1
+    assert tree.find_all("azd") == []
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_pattern_ending_exactly_on_a_node(mode):
+    tree = build("xabcyabd", mode=mode)
+    node, matched = locate(tree, "ab")
+    assert node is node_by_string(tree, "ab")
+    assert matched == 2
+    assert tree.find_all("ab") == [2, 6]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_pattern_ending_inside_a_leaf_edge(mode):
+    tree = build("xabcyabd", mode=mode)
+    node, matched = locate(tree, "abc")
+    assert node.children is None and node.spos == 2
+    assert matched == 1
+    assert tree.find_all("abc") == [2]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=100, deadline=None)
+@given(st.text(alphabet="abc", min_size=1, max_size=48).map(str.encode),
+       st.integers(2, 12),
+       st.lists(st.text(alphabet="abcz", min_size=1, max_size=14).map(str.encode),
+                max_size=4))
+def test_blind_descent_agrees_with_edgewise_reference(mode, stream, cap, extra):
+    tree = SlidingSuffixTree(cap, mode=mode)
+    for sym in stream:
+        tree.slide(sym)
+    w = tree.window_bytes()
+    pats = {w[i:j] for i in range(len(w)) for j in range(i + 1, len(w) + 1)}
+    pats |= {p[:k] + b"z" + p[k + 1:] for p in list(pats) for k in (0, len(p) // 2, len(p) - 1)}
+    pats |= set(extra)
+    for p in pats:
+        got = _locate(tree, p)
+        want = edgewise_locate(tree, p)
+        if p in w:
+            assert got[0] is not None and got == want, (w, p)
+        else:
+            assert got[0] is None and want[0] is None, (w, p)
+            assert got[2] <= len(p), (w, p)
+
+
 # -- properties --------------------------------------------------------------------
 
 @st.composite
@@ -191,25 +263,16 @@ def test_hit_partition_around_boundary(stream, cap):
 # -- the ring-buffer seam ------------------------------------------------------------
 
 def _compares_across_seam(tree, p):
-    """Whether locating p compares a label whose buffer slots wrap around.
+    """Whether locating p compares it with buffer slots that wrap around.
 
-    The locate step reads each edge's label after its first symbol, from
-    slot ``lo % capacity`` on, and the last edge only as far as p reaches.
+    The locate step compares p once, with ``len(p)`` slots from the slot of
+    the start of one leaf below the node it reaches.
     """
     found = locate(tree, p)
     if found is None:
         return False
-    node, take = found
-    cap = tree.capacity
-    while node.parent is not None:
-        lo, hi = tree.edge_label(node)
-        if take is None:
-            take = hi - lo + 1
-        if lo % cap + take - 1 > cap:
-            return True
-        node = node.parent
-        take = None
-    return False
+    k = tree.leafptr(found[0]).spos
+    return (k - 1) % tree.capacity + len(p) > tree.capacity
 
 
 @pytest.mark.parametrize("mode", ["plp", "credit"])

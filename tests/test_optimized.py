@@ -15,7 +15,8 @@ import slidingsuffix
 
 TESTS = Path(__file__).resolve().parent
 CORE = ("test_tree_core.py", "test_plp.py", "test_credit.py", "test_checks.py",
-        "test_matching.py", "test_window.py", "test_stateful.py")
+        "test_matching.py", "test_window.py", "test_stateful.py",
+        "test_exhaustive.py")
 
 
 def test_core_tests_pass_under_python_O():
