@@ -15,32 +15,54 @@ from dataclasses import dataclass
 from . import oracle
 from .matching import find_all_counted
 from .oracle import TreeSketch
-from .tree import InvariantError, as_pattern
+from .tree import InvariantError, LeafNode, as_pattern
 
 # largest window the oracle is built for by default: it sorts copies of
 # every suffix, O(W^2) bytes (about 9 MB at 4096, about 2 GB at 65536)
 ORACLE_MAX_WINDOW = 4096
 
+# a node has at most one child per byte value
+MAX_CHILDREN = 256
 
 def _name(node) -> str:
     """A leaf by its start, an internal node by depth and key: names that
-    replaying the same events reproduces exactly.  Nodes do not store their
-    key, so it is looked up in the parent, which happens only for findings."""
-    if node.children is None:
+    replaying the same events reproduces exactly."""
+    if isinstance(node, LeafNode):
         return f"leaf {node.spos}"
     if node.depth == 0:
         return "root"
-    siblings = getattr(node.parent, "children", None) or {}
-    key = next((k for k, child in siblings.items() if child is node), None)
-    return f"node at depth {node.depth} keyed {key}"
+    return f"node at depth {node.depth} keyed {node.key}"
+
+
+def _child_list(node, structure: list) -> list:
+    """node's children in sibling order, each once.  A list that holds a
+    key twice, or comes back to a child it listed and so never ends, is a
+    structure finding: a sound list holds distinct keys and so ends within
+    `MAX_CHILDREN` steps."""
+    kids = []
+    seen = 0  # bit k is set once a child keyed k is listed
+    child = node.first
+    while child is not None:
+        bit = 1 << child.key
+        if seen & bit:
+            if child in kids:  # identity: nodes define no equality
+                structure.append(f"sibling list of {_name(node)} does not end within "
+                                 f"{MAX_CHILDREN} steps")
+                break
+            structure.append(f"{_name(node)} has two children keyed {child.key}")
+        seen |= bit
+        kids.append(child)
+        child = child.sibling
+    return kids
 
 
 @dataclass
 class Audit:
     """Findings of one `audit`, one list per family.
 
-    * ``structure``: parent, key, depth, leaf-slot and suffix-link
-      consistency, and the bounds on the lrs length;
+    * ``structure``: sibling lists, child indexes, and parent, key,
+      depth, leaf-slot and suffix-link consistency, and the bounds on the
+      lrs length;
     * ``topology``: the tree read back through its edge labels (``sketch``)
       against the oracle, and the lrs length against the oracle's;
     * ``freshness``: every edge's derived index pair lies inside the window
@@ -99,7 +121,7 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
     if plp:
         if root.prim:
             pointers.append("root must stay secondary")
-        if not root.children and root.plp is not root:
+        if root.first is None and root.plp is not root:
             pointers.append("empty root must point at itself")
     # entries: (internal node, its string, head of its primary path); a
     # credit marker is (None, owner node, (stored leaf, first rank below it));
@@ -112,9 +134,15 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
             if leaf_rank.get(leaf, -1) < first:
                 pointers.append(f"{_name(leaf)} is not a descendant of {_name(s)}")
             continue
-        children = node.children
+        children = _child_list(node, structure)
         strings[node] = s
         depth = node.depth
+        index = node.index
+        if index is not None:
+            if list(index.items()) != [(child.key, child) for child in children]:
+                structure.append(f"the index of {_name(node)} does not list its children")
+        elif node is root:
+            structure.append("the root has no index")
         if node is not root and len(children) < 2:
             structure.append(f"non-root {_name(node)} has {len(children)} children")
         if plp:
@@ -130,7 +158,7 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
                 else:
                     stack.append((None, node, (leaf, len(leaf_rank))))
         prim_children = 0
-        for key, child in children.items():
+        for child in children:
             if child.parent is not node:
                 structure.append(f"parent link broken at {_name(child)}")
             if not plp:
@@ -157,10 +185,10 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
                         freshness.append(f"edge label <{lo},{hi}> below depth {depth} not "
                                          f"strongly fresh in [{tail}..{head}]")
                     label = substring(lo, hi)
-                    if label[0] != key:
-                        structure.append(f"edge key {key} does not match label start "
-                                         f"{label[0]}")
-            if child.children is not None:
+                    if label[0] != child.key:
+                        structure.append(f"edge key {child.key} does not match label "
+                                         f"start {label[0]}")
+            if child.first is not None:
                 if label is None or s is None:
                     stack.append((child, None, child_top))
                 else:

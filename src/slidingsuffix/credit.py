@@ -69,5 +69,7 @@ class CreditMaintenance:
     def on_leaf_deleting(self, u, w):
         # a non-root w left with one child merges away; a credit it holds
         # passes to its parent so no information is lost
-        if w.cred and len(w.children) == 2 and w.parent is not None:
-            self.update(w.parent, w.lp)
+        if w.cred and w.parent is not None:
+            y = w.first.sibling
+            if y is not None and y.sibling is None:
+                self.update(w.parent, w.lp)

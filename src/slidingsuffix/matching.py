@@ -62,29 +62,38 @@ def locate(tree, pattern):
 def _locate(tree, p: bytes):
     """Blind descent; returns (node, matched_on_edge, edges_touched).
 
-    Children are chosen by ``p[depth]`` alone, down to a leaf or to the
-    first node of depth at least ``len(p)``.  Then one leaf below the node
+    Children are chosen by ``p[depth]`` alone, through a node's dict index
+    where it has one (always at the root) and by scanning siblings' keys
+    elsewhere, down to a leaf or to the first node of depth at least
+    ``len(p)``.  Then one leaf below the node
     (the node itself, or its leaf pointer) is read: the pattern occurs iff
     the window holds it at that leaf's start.  A start too late for the
     pattern to fit before the head is refused before the comparison, since
     the mirrored slice would wrap into the window's oldest symbols.
     """
     m = len(p)
-    children = tree.root.children
+    child = tree.root.index.get(p[0])
     depth = edges = 0
-    while True:
-        child = children.get(p[depth])
-        if child is None:
-            return None, 0, edges
+    while child is not None:
         edges += 1
-        children = child.children
-        if children is None:
+        first = child.first
+        if first is None:
             leaf = child
             break
         if child.depth >= m:
             leaf = tree.maint.leaf_for(child)
             break
         depth = child.depth
+        key = p[depth]
+        index = child.index
+        if index is None:
+            child = first
+            while child is not None and child.key != key:
+                child = child.sibling
+        else:
+            child = index.get(key)
+    else:
+        return None, 0, edges
     k = leaf.spos
     if k + m - 1 > tree.head:
         return None, 0, edges
@@ -106,7 +115,7 @@ def _collect(tree, node):
     less than its leaves plus its internal nodes.
     """
     off = tree.tail - 1
-    if node.children is None:
+    if node.first is None:
         return [node.spos - off], 0
     starts = []
     add = starts.append
@@ -116,11 +125,13 @@ def _collect(tree, node):
     internal = 0
     while stack:
         internal += 1
-        for child in pop().children.values():
-            if child.children is None:
+        child = pop().first
+        while child is not None:
+            if child.first is None:
                 add(child.spos - off)
             else:
                 push(child)
+            child = child.sibling
     return starts, len(starts) + internal - 1
 
 
@@ -152,7 +163,7 @@ def find_all(tree, pattern, counted=False):
                 out.append(p1)
         elif m < lrs:
             below = tree.canonize()
-            lead = below if below.children is None else tree.maint.leaf_for(below)
+            lead = below if below.first is None else tree.maint.leaf_for(below)
             p2 = lead.spos - tail + 1
             if p2 >= p1:
                 raise _tree.InvariantError(f"leaf {p2} below the lrs locus must "

@@ -22,12 +22,12 @@ from __future__ import annotations
 def _secondary_child(w):
     """The lowest-keyed non-primary child of w: a deterministic choice of
     the child a deletion promotes onto a primary path."""
-    best_key = None
     best = None
-    for key, child in w.children.items():
-        if not child.prim and (best_key is None or key < best_key):
-            best_key = key
+    child = w.first
+    while child is not None:
+        if not child.prim and (best is None or child.key < best.key):
             best = child
+        child = child.sibling
     return best
 
 
@@ -52,14 +52,15 @@ class PlpMaintenance:
         internal node is never the first node of a primary path, but it
         branches, so some child is secondary and that child's pointer (or
         the child itself, if a leaf) answers.  At most one child is
-        primary, so the first two children hold a secondary one.  On an
-        empty tree the root returns itself.
+        primary, so the first child or its sibling is a secondary one.  On
+        an empty tree the root returns itself.
         """
         if not node.prim:
             return node.plp
-        for y in node.children.values():
-            if not y.prim:
-                return y if y.children is None else y.plp
+        y = node.first
+        if y.prim:
+            y = y.sibling
+        return y if y.first is None else y.plp
 
     # -- leaf events ---------------------------------------------------------
 
@@ -72,7 +73,7 @@ class PlpMaintenance:
         here.
         """
         if split_child is None:
-            if len(w.children) == 1:
+            if w.first is u:
                 # w had no child, which only happens at the root: u starts
                 # the root's primary path
                 u.prim = True
@@ -116,14 +117,16 @@ class PlpMaintenance:
         an ordinary secondary node that never merges: its primary leaf's
         ``plp_inv`` names it like any other path head.
         """
-        merges = len(w.children) == 2 and not w.prim and w.parent is not None
+        y = w.first.sibling  # None when u is w's only child
+        merges = (y is not None and y.sibling is None and not w.prim
+                  and w.parent is not None)
         if u.prim:
             if merges:
                 # w is secondary with two children: the path started at w,
                 # and both w and u disappear together
                 return
             z = u.plp_inv
-            if len(w.children) == 1:
+            if y is None:
                 # only the root loses its last child: it points at itself
                 z.plp = z
                 n = 1
@@ -131,7 +134,7 @@ class PlpMaintenance:
                 # the path through u survives above w (or above the merged
                 # edge): reroute it through a promoted sibling
                 y = _secondary_child(w)
-                v = y if y.children is None else y.plp
+                v = y if y.first is None else y.plp
                 y.prim = True
                 z.plp = v
                 v.plp_inv = z
@@ -139,11 +142,10 @@ class PlpMaintenance:
         elif merges:
             # w merges away and its path must restart at the surviving
             # child, which had been primary
-            for y in w.children.values():
-                if y is not u:
-                    break
+            if y is u:
+                y = w.first
             y.prim = False
-            if y.children is None:
+            if y.first is None:
                 y.plp_inv = None  # a secondary leaf points at itself
                 n = 2
             else:

@@ -4,9 +4,23 @@ Appending a symbol runs one phase of Ukkonen's construction; deleting the
 front symbol removes (or shortens) the leaf of the longest suffix and merges
 the parent edge when the parent stops branching.  Edge labels are never
 stored: every edge's index-pair is derived on demand from a leaf pointer, so
-labels stay inside the live window by construction.  Nor are the keys of
-``children``: an edge's key is its label's first symbol, and the few places
-that need one read it from the window.
+labels stay inside the live window by construction.
+
+Children are linked, not mapped (Kurtz 1999): an internal node holds its
+``first`` child, and every node its next ``sibling`` and its ``key``, the
+first symbol of the label of the edge entering it.  A node lists its
+children in the order they came: a new leaf is linked last, and a node that
+splits an edge, or a child that a merge lifts, takes the place of the child
+it replaces, under the same key.  Most nodes have two children, so a lookup
+scans a step or two, where a dict would cost 224 bytes per node.  Keys are
+stored because the scan compares one per sibling: reading each from the
+window instead would cost a leaf-pointer derivation per step.  A node that
+branches widely (text, near the root) would make every lookup a long scan,
+so the root, and a node once it has more than `WIDE` children, also keeps
+``index``, a ``{key: child}`` dict in sibling order that lookups use in
+place of the scan; every other node's ``index`` is None.  A node keeps its
+index until it merges away.  ``InternalNode.children`` builds a
+``{key: child}`` view of any node on demand; no slide or query reads it.
 
 The tree owns the window's ring buffer.  Positions are absolute and 1-based:
 the k-th symbol ever appended lives at position k until `delete_front`
@@ -25,22 +39,22 @@ Two interchangeable leaf-pointer maintenance modes exist:
   chains that may climb the whole tree.
 
 Departed objects are recycled.  `delete_front` puts each leaf it detaches
-and each node it merges away on a spare list, and `append` takes an object
-from the list when one is there, resetting it to the state its constructor
-gives, and constructs a new one only when the list is empty.  So the
-leaves ever constructed number the peak of live leaves, and live plus
-spare leaves equal that peak at every moment; the same holds for internal
-nodes.  Both peaks are at most ``capacity``, so space stays O(W) and never
-exceeds the largest tree this window has held.  A steady slide then
-allocates and frees no node, so it gives the cyclic collector no cause to
-run.
+and each node it merges away on a spare list, unlinked, and `append` takes
+an object from the list when one is there, resetting it to the state its
+constructor gives, and constructs a new one only when the list is empty.
+So the leaves ever constructed number the peak of live leaves, and live
+plus spare leaves equal that peak at every moment; the same holds for
+internal nodes.  Both peaks are at most ``capacity``, so space stays O(W)
+and never exceeds the largest tree this window has held.  A steady slide
+then allocates and frees no node, so it gives the cyclic collector no
+cause to run.
 
 The active point (the locus of the longest repeating suffix) is represented
 by ``(ins, proj)``: the closest node at or above the locus and the number of
 symbols hanging below it.  The pending descent implied by ``proj`` is
 normalized lazily by `canonize`.  Because the tracked locus is always a
 suffix of the window, the first symbol of the edge below ``ins`` is the
-window symbol at ``head - proj + 1`` and never needs storing.
+window symbol at ``head - proj + 1``.
 """
 
 from __future__ import annotations
@@ -53,6 +67,10 @@ from .credit import CreditMaintenance
 from . import matching
 
 MODES = ("plp", "credit")
+
+# a node that gains a child beyond this many builds its dict index (98% of
+# the text corpus's nodes have at most 8 children; sigma = 4 noise at most 4)
+WIDE = 8
 
 Symbol = Union[int, str, bytes]
 
@@ -91,20 +109,33 @@ class InvariantError(AssertionError):
 
 
 class InternalNode:
-    """Branching node.  ``children`` maps edge first symbol -> child."""
+    """Branching node; its children are ``first`` and that child's siblings."""
 
-    __slots__ = ("parent", "children", "suffix_link", "depth",
-                 "prim", "plp", "cred", "lp")
+    __slots__ = ("parent", "first", "sibling", "key", "index", "suffix_link",
+                 "depth", "prim", "plp", "cred", "lp")
 
-    def __init__(self, parent, depth):
+    def __init__(self, parent, depth, key=None):
         self.parent = parent
-        self.children = {}
+        self.first = None
+        self.sibling = None
+        self.key = key
+        self.index = None     # {key: child} of a wide node, else None
         self.suffix_link = None
         self.depth = depth
         self.prim = False
         self.plp = None       # leaf reached along primary edges; secondary nodes only
         self.cred = 0
         self.lp = 0           # start of a descendant leaf; credit mode only
+
+    @property
+    def children(self) -> dict:
+        """A new ``{key: child}`` dict in sibling order, for inspection."""
+        out = {}
+        child = self.first
+        while child is not None:
+            out[child.key] = child
+            child = child.sibling
+        return out
 
     def __repr__(self):
         return f"<node depth={self.depth}>"
@@ -113,18 +144,36 @@ class InternalNode:
 class LeafNode:
     """Leaf for the suffix starting at ``spos``; its label runs to the window head."""
 
-    __slots__ = ("parent", "spos", "prim", "plp_inv")
+    __slots__ = ("parent", "sibling", "key", "spos", "prim", "plp_inv")
 
-    children = None  # shared marker so `node.children is None` tests leafness
+    # shared markers: `node.first is None` tests leafness wherever the node
+    # cannot be an empty root, and `node.children is None` everywhere
+    first = None
+    children = None
 
-    def __init__(self, parent, spos):
+    def __init__(self, parent, spos, key=None):
         self.parent = parent
+        self.sibling = None
+        self.key = key
         self.spos = spos
         self.prim = False
         self.plp_inv = None   # secondary node whose pointer targets this leaf
 
     def __repr__(self):
         return f"<leaf spos={self.spos}>"
+
+
+def _relink(parent, old, new):
+    """Point the link that reaches ``old`` in parent's child list at ``new``."""
+    prev = None
+    child = parent.first
+    while child is not old:
+        prev = child
+        child = child.sibling
+    if prev is None:
+        parent.first = new
+    else:
+        prev.sibling = new
 
 
 @dataclass(slots=True)
@@ -174,6 +223,7 @@ class SlidingSuffixTree:
         self.mode = mode
         self.counters = Counters()
         self.root = InternalNode(parent=None, depth=0)
+        self.root.index = {}
         self.ins = self.root
         self.proj = 0
         self._leaf_slots: list = [None] * capacity
@@ -216,12 +266,14 @@ class SlidingSuffixTree:
         while stack:
             node = stack.pop()
             yield node
-            if node.children:
-                stack.extend(node.children.values())
+            child = node.first
+            while child is not None:
+                stack.append(child)
+                child = child.sibling
 
     def leafptr(self, node):
         """Some live leaf in node's subtree, in O(1) (a leaf returns itself)."""
-        if node.children is None:
+        if node.first is None and node is not self.root:
             return node
         return self.maint.leaf_for(node)
 
@@ -235,7 +287,7 @@ class SlidingSuffixTree:
         parent = node.parent
         if parent is None:
             raise ValueError("the root has no incoming edge")
-        if node.children is None:
+        if node.first is None:
             return node.spos + parent.depth, self.head
         k = self.leafptr(node).spos
         return k + parent.depth, k + node.depth - 1
@@ -251,7 +303,7 @@ class SlidingSuffixTree:
         Returns ``ins`` itself when the active point rests on a node,
         otherwise the child at the far end of the edge the locus sits on.
         Descends by edge lengths alone: the tracked string is known to
-        exist, so only first symbols are examined.
+        exist, so only the keys of siblings are examined.
         """
         proj = self.proj
         ins = self.ins
@@ -261,8 +313,15 @@ class SlidingSuffixTree:
         cap = self.capacity
         head = self.head
         while True:
-            child = ins.children[buf[(head - proj) % cap]]
-            if child.children is None:
+            key = buf[(head - proj) % cap]
+            index = ins.index
+            if index is None:
+                child = ins.first
+                while child.key != key:
+                    child = child.sibling
+            else:
+                child = index[key]
+            if child.first is None:
                 # landing on or past a leaf end would make the tracked suffix
                 # non-repeating, so the locus must lie inside the leaf edge
                 if proj < head - child.spos + 1 - ins.depth:
@@ -284,7 +343,15 @@ class SlidingSuffixTree:
     # -- mutation ---------------------------------------------------------
 
     def append(self, sym: Symbol) -> None:
-        """Extend the window by one symbol, updating the tree online.
+        """Extend the window by one symbol, updating the tree online."""
+        if type(sym) is not int or not 0 <= sym <= 255:
+            sym = as_symbol(sym)
+        if self.head - self.tail + 1 >= self.capacity:
+            raise ValueError("window is full; delete_front before appending")
+        self._append(sym)
+
+    def _append(self, sym: int) -> None:
+        """`append` of a checked symbol into a window with room for it.
 
         Runs sub-iterations from the current active point: each one either
         finds the extended suffix already present (and stops) or inserts a
@@ -293,12 +360,8 @@ class SlidingSuffixTree:
         lives in locals and is stored back only around `canonize` and at
         the end.
         """
-        if type(sym) is not int or not 0 <= sym <= 255:
-            sym = as_symbol(sym)
         head = self.head
         cap = self.capacity
-        if head - self.tail + 1 >= cap:
-            raise ValueError("window is full; delete_front before appending")
         buf = self.buf
         slots = self._leaf_slots
         maint = self.maint
@@ -318,7 +381,21 @@ class SlidingSuffixTree:
                 ins = self.ins
                 proj = self.proj
             if proj == 0:
-                if sym in ins.children:
+                # a miss stops at the last child, which the new leaf follows
+                last = None
+                index = ins.index
+                if index is None:
+                    scanned = 0
+                    child = ins.first
+                    while child is not None and child.key != sym:
+                        last = child
+                        child = child.sibling
+                        scanned += 1
+                else:
+                    child = index.get(sym)
+                    if child is None:
+                        last = next(reversed(index.values()), None)
+                if child is not None:
                     if v is not None:
                         v.suffix_link = ins
                     proj = 1
@@ -326,7 +403,7 @@ class SlidingSuffixTree:
                 w = ins
                 split_child = None
             else:
-                if below.children is None:
+                if below.first is None:
                     edge_start = below.spos + ins.depth
                 else:
                     edge_start = maint.leaf_for(below).spos + ins.depth
@@ -339,34 +416,49 @@ class SlidingSuffixTree:
                         raise InvariantError("suffix link pending at a mid-edge locus")
                     proj += 1
                     break
-                # split the edge ins -> below at the locus; `canonize` reached
-                # below under the symbol at head - proj + 1
+                # split the edge ins -> below at the locus: w takes below's
+                # place and key among ins's children, and below hangs from
+                # w under the symbol at the locus
+                key = below.key
                 if spare_nodes:
-                    # a merged node, already without children, suffix link
-                    # or pointer; the rest as `InternalNode` sets it
+                    # a merged node, already unlinked and without suffix
+                    # link or pointer; the rest as `InternalNode` sets it
                     w = spare_nodes.pop()
                     w.parent = ins
                     w.depth = ins.depth + proj
+                    w.key = key
                     w.prim = False
                     w.cred = 0
                     w.lp = 0
                 else:
-                    w = InternalNode(ins, ins.depth + proj)
-                ins.children[buf[(head - proj) % cap]] = w
-                w.children[mid] = below
+                    w = InternalNode(ins, ins.depth + proj, key)
+                w.sibling = below.sibling
+                _relink(ins, below, w)
+                if ins.index is not None:
+                    ins.index[key] = w
+                w.first = last = below
                 below.parent = w
+                below.key = mid
                 nodes += 1
                 split_child = below
             spos = head + 1 - w.depth
             if spare_leaves:
-                u = spare_leaves.pop()
+                u = spare_leaves.pop()  # unlinked, as `LeafNode` leaves it
                 u.parent = w
+                u.key = sym
                 u.spos = spos
                 u.prim = False
                 u.plp_inv = None
             else:
-                u = LeafNode(w, spos)
-            w.children[sym] = u
+                u = LeafNode(w, spos, sym)
+            if last is None:
+                w.first = u
+            else:
+                last.sibling = u
+            if w.index is not None:
+                w.index[sym] = u
+            elif split_child is None and scanned >= WIDE:
+                w.index = w.children
             slot = (spos - 1) % cap
             if slots[slot] is not None:
                 raise InvariantError(f"leaf slot of start {spos} is taken")
@@ -429,29 +521,35 @@ class SlidingSuffixTree:
             else:
                 self.ins = ins.suffix_link
         else:
-            # u spells T[tail..head], so it hangs from each node on its path
-            # under the window symbol just past that node's depth
             self.maint.on_leaf_deleting(u, w)
-            children = w.children
-            del children[self.buf[slot + w.depth]]
+            _relink(w, u, u.sibling)
+            if w.index is not None:
+                del w.index[u.key]
+            u.sibling = None
             slots[slot] = None
             u.parent = None
             self._spare_leaves.append(u)
             counters = self.counters
             counters.leaves_deleted += 1
-            if len(children) == 1 and w is not self.root:
-                y = next(iter(children.values()))
+            y = w.first
+            if w is not self.root and y.sibling is None:
+                # w no longer branches: its one child y takes w's place and
+                # key among x's children
                 x = w.parent
                 if self.ins is w:
                     # the locus representation counted from w; re-anchor it
                     self.proj += w.depth - x.depth
                     self.ins = x
-                x.children[self.buf[slot + x.depth]] = y
+                y.key = w.key
+                y.sibling = w.sibling
+                _relink(x, w, y)
+                if x.index is not None:
+                    x.index[y.key] = y
                 y.parent = x
                 # every live reference into w was repaired above; clearing its
-                # own leaves the spare `append` expects: no children, suffix
+                # own leaves the spare `append` expects: no links, suffix
                 # link or pointer (w.plp may name u, whose plp_inv names w)
-                children.clear()
+                w.first = w.sibling = w.index = None
                 w.parent = None
                 w.suffix_link = None
                 w.plp = None
@@ -466,7 +564,7 @@ class SlidingSuffixTree:
             sym = as_symbol(sym)
         if self.head - self.tail + 1 >= self.capacity:
             self.delete_front()
-        self.append(sym)
+        self._append(sym)
 
     def extend(self, data) -> None:
         for sym in data:

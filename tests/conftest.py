@@ -42,15 +42,14 @@ def edgewise_locate(tree, p: bytes):
     n = len(p)
     i = take = edges = 0
     while i < n:
-        children = node.children
-        if children is None:
-            return None, 0, edges
-        child = children.get(p[i])
+        child = node.first
+        while child is not None and child.key != p[i]:
+            child = child.sibling
         if child is None:
             return None, 0, edges
         edges += 1
         depth = node.depth
-        if child.children is None:
+        if child.first is None:
             lo = child.spos + depth
             take = head - lo + 1
         else:
@@ -77,18 +76,21 @@ def node_by_string(tree, s):
         node, cur = stack.pop()
         if cur == target:
             return node
-        if node.children is None or len(cur) >= len(target):
+        if node.first is None or len(cur) >= len(target):
             continue
-        for child in node.children.values():
+        child = node.first
+        while child is not None:
             lo, hi = tree.edge_label(child)
             stack.append((child, cur + tree.substring(lo, hi)))
+            child = child.sibling
     return None
 
 
 def spare_problems(tree) -> list:
     """What is wrong with the tree's spare lists of retired leaves and
-    nodes: a spare still attached or holding children, a spare listed
-    twice, or a spare that the live tree can still reach."""
+    nodes: a spare still attached, linked to a child or a sibling, or
+    holding an index, a spare listed twice, or a spare that the live tree
+    can still reach."""
     problems = []
     spares = tree._spare_leaves + tree._spare_nodes
     spare_ids = {id(s) for s in spares}
@@ -97,12 +99,17 @@ def spare_problems(tree) -> list:
     for s in spares:
         if s.parent is not None:
             problems.append(f"spare {s!r} still has a parent")
-        if s.children:
-            problems.append(f"spare {s!r} still has children")
+        if s.first is not None:
+            problems.append(f"spare {s!r} still has a first child")
+        if s.sibling is not None:
+            problems.append(f"spare {s!r} still has a sibling")
+        if getattr(s, "index", None) is not None:
+            problems.append(f"spare {s!r} still has an index")
     reachable = []
     for node in tree.iter_nodes():
         reachable.append(node)
-        if node.children is not None:
+        if node.first is not None:
+            reachable += (node.index or {}).values()
             reachable.append(node.suffix_link)
             if tree.mode == "plp" and not node.prim:
                 reachable.append(node.plp)

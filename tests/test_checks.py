@@ -6,7 +6,7 @@ import json
 import pytest
 
 from slidingsuffix import checks, cli, oracle
-from slidingsuffix.tree import InternalNode
+from slidingsuffix.tree import InternalNode, LeafNode
 from slidingsuffix.verify import Lcg
 
 from conftest import build
@@ -22,21 +22,31 @@ def sound_tree(mode):
 
 
 def internals(tree):
-    return [n for n in tree.iter_nodes() if n.children and n is not tree.root]
+    return [n for n in tree.iter_nodes() if n.first and n is not tree.root]
 
 
 def leaves(tree):
-    return [n for n in tree.iter_nodes() if n.children is None]
+    return [n for n in tree.iter_nodes() if isinstance(n, LeafNode)]
+
+
+def kids(node):
+    """node's children in sibling order."""
+    out = []
+    child = node.first
+    while child is not None:
+        out.append(child)
+        child = child.sibling
+    return out
 
 
 def subtree_leaves(node):
     stack, out = [node], []
     while stack:
         n = stack.pop()
-        if n.children is None:
+        if n.first is None:
             out.append(n)
         else:
-            stack.extend(n.children.values())
+            stack.extend(kids(n))
     return out
 
 
@@ -107,19 +117,8 @@ def test_child_under_the_wrong_key_is_a_structure_finding(mode):
     for node in list(tree.iter_nodes()):
         if node is tree.root:
             continue
-        children = node.parent.children
-        saved = list(children.items())
-        key = next(k for k, child in saved if child is node)
-        del children[key]
-        children[ord("z")] = node
-        try:
-            found = checks.audit(tree)
-        finally:
-            children.clear()
-            children.update(saved)
-        assert any(f"edge key {ord('z')} does not match label start {key}" in v
-                   for v in found.structure), (node, found)
-        assert checks.audit(tree).violations() == []
+        assert_reported(tree, "structure", node, "key", ord("z"),
+                        f"edge key {ord('z')} does not match label start {node.key}")
         moved += 1
     assert moved == len(internals(tree)) + len(leaves(tree))
 
@@ -128,16 +127,16 @@ def test_child_under_the_wrong_key_is_a_structure_finding(mode):
 def test_broken_shape_is_a_structure_finding(mode):
     tree = sound_tree(mode)
     name = checks._name
-    node = next(n for n in internals(tree) if len(n.children) == 2)
-    assert_reported(tree, "structure", node, "children", dict([*node.children.items()][:1]),
+    node = next(n for n in internals(tree) if len(kids(n)) == 2)
+    assert_reported(tree, "structure", node.first, "sibling", None,
                     f"non-root {name(node)} has 1 children")
     leaf = next(n for n in leaves(tree) if n.parent is not tree.root)
     assert_reported(tree, "structure", leaf, "parent", tree.root,
                     f"parent link broken at {name(leaf)}")
-    # an internal node also listed under the root, whose depth is not its parent's
+    # an internal node also listed under the root (its own siblings follow
+    # it there), whose depth is not its parent's
     deep = next(n for n in internals(tree) if n.parent is not tree.root)
-    assert_reported(tree, "structure", tree.root, "children",
-                    {**tree.root.children, ord("z"): deep},
+    assert_reported(tree, "structure", kids(tree.root)[-1], "sibling", deep,
                     f"depth inconsistency at {name(deep)}")
     first = tree.leaf_at(tree.tail)
     assert_reported(tree, "structure", first, "spos", tree.tail - 1,
@@ -153,6 +152,30 @@ def test_broken_shape_is_a_structure_finding(mode):
     wlen = len(tree)
     assert_reported(tree, "structure", tree, "proj", wlen - tree.ins.depth,
                     f"lrs length {wlen} impossible for window of {wlen}")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_broken_links_are_structure_findings(mode):
+    tree = sound_tree(mode)
+    name = checks._name
+    node = next(n for n in internals(tree) if len(kids(n)) >= 2)
+    first, second = kids(node)[:2]
+    # a sibling list that loops back to its start never ends
+    assert_reported(tree, "structure", kids(node)[-1], "sibling", first,
+                    f"sibling list of {name(node)} does not end within "
+                    f"{checks.MAX_CHILDREN} steps")
+    assert_reported(tree, "structure", second, "key", first.key,
+                    f"{name(node)} has two children keyed {first.key}")
+    root = tree.root
+    top = root.first
+    assert_reported(tree, "structure", root, "index",
+                    {k: c for k, c in root.index.items() if c is not top},
+                    "the index of root does not list its children")
+    assert_reported(tree, "structure", root, "index", {**root.index, top.key: top.sibling},
+                    "the index of root does not list its children")
+    assert_reported(tree, "structure", root, "index", None, "the root has no index")
+    assert_reported(tree, "structure", node, "index", {first.key: first},
+                    f"the index of {name(node)} does not list its children")
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from slidingsuffix import SlidingSuffixTree
 from slidingsuffix import checks
+from slidingsuffix.tree import InternalNode, LeafNode
 from slidingsuffix.verify import (Lcg, build_deletion_worstcase,
                                   build_insertion_worstcase, drive)
 
@@ -125,35 +126,38 @@ def test_secondary_leaf_answers_itself():
     assert tree.leafptr(second) is second
 
 
-class CountingChildren(dict):
-    """A children map that counts every child its iterators hand out."""
+class CountingSlot:
+    """Stands in for a slot descriptor and counts the reads through it."""
 
-    taken = 0
+    def __init__(self, slot):
+        self.slot = slot
+        self.reads = 0
 
-    def _count(self, it):
-        for x in it:
-            self.taken += 1
-            yield x
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        self.reads += 1
+        return self.slot.__get__(obj, cls)
 
-    def __iter__(self):
-        return self._count(super().__iter__())
-
-    def items(self):
-        return self._count(super().items())
-
-    def values(self):
-        return self._count(super().values())
+    def __set__(self, obj, value):
+        self.slot.__set__(obj, value)
 
 
-def test_primary_node_answers_from_at_most_two_children():
+def test_primary_node_answers_from_at_most_two_children(monkeypatch):
     # "a" splits the root's primary leaf, so its node is primary, and it
     # gains one child per symbol that follows an "a"
     tree = build("".join("a" + chr(c) for c in range(ord("b"), ord("z"))))
     node = node_by_string(tree, "a")
     assert node.prim and len(node.children) == 24
-    node.children = CountingChildren(node.children)
+    slots = [CountingSlot(cls.__dict__["sibling"]) for cls in (InternalNode, LeafNode)]
+    for cls, slot in zip((InternalNode, LeafNode), slots):
+        monkeypatch.setattr(cls, "sibling", slot)
     leaf = tree.leafptr(node)
-    assert node.children.taken <= 2
+    reads = sum(slot.reads for slot in slots)
+    assert len(node.children) == 24  # the counting sees a full scan
+    scan = sum(slot.reads for slot in slots) - reads
+    monkeypatch.undo()
+    assert reads <= 1 and scan == 24
     assert leaf.children is None and leaf.parent is node
 
 

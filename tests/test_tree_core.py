@@ -2,6 +2,7 @@ import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 import slidingsuffix
 from slidingsuffix import SlidingSuffixTree
 from slidingsuffix import checks
-from slidingsuffix.tree import InternalNode, LeafNode
-from slidingsuffix.oracle import naive_suffix_tree
+from slidingsuffix.tree import WIDE, InternalNode, LeafNode
+from slidingsuffix.oracle import naive_occurrences, naive_suffix_tree
 from slidingsuffix.verify import Lcg
 
 from conftest import build, naive_lrs, node_by_string, spare_problems
@@ -109,6 +110,53 @@ def test_rejected_slide_leaves_a_full_window_unchanged(mode):
             assert tree.window_bytes() == b"abc" and len(tree) == 3
             assert tree.stats() == before
     assert checks.audit(tree).violations() == []
+
+
+@pytest.mark.parametrize("mode", ["plp", "credit"])
+def test_children_keep_their_order(mode):
+    # a new leaf is linked last; a split node and a lifted child take the
+    # place of the child they replace
+    def keys(node):
+        return bytes(node.children)
+
+    tree = build("abcdbe", capacity=6, mode=mode)
+    node_b = tree.root.children[ord("b")]
+    assert keys(tree.root) == b"abcde" and keys(node_b) == b"ce"
+    tree.slide("f")  # leaf 1 leaves the root
+    assert keys(tree.root) == b"bcdef"
+    tree.slide("g")  # leaf 2 leaves node b, and leaf 5 takes b's place
+    lifted = tree.root.first
+    assert keys(tree.root) == b"bcdefg" and lifted.first is None and lifted.spos == 5
+    assert list(tree.root.index.items()) == list(tree.root.children.items())
+    assert checks.audit(tree).violations() == []
+
+
+@pytest.mark.parametrize("mode", ["plp", "credit"])
+def test_wide_nodes_keep_an_index(mode):
+    # sigma = 12 through W = 200 makes nodes with more than WIDE children,
+    # which index them; then two symbols only, so those nodes lose their
+    # children and merge away, dropping their index
+    rng = Lcg(12)
+    data = bytes(97 + rng.draw(12) for _ in range(1500)) + \
+        bytes(97 + rng.draw(2) for _ in range(1500))
+    tree = SlidingSuffixTree(200, mode=mode)
+    ever_indexed = []
+    for i, sym in enumerate(data):
+        tree.slide(sym)
+        if i % 10:
+            continue
+        assert checks.audit(tree).violations() == [], i
+        assert spare_problems(tree) == [], i
+        for node in tree.iter_nodes():
+            if node.first is not None and node is not tree.root:
+                assert node.index is not None or len(node.children) <= WIDE
+                if node.index is not None and node not in ever_indexed:
+                    ever_indexed.append(node)
+        window = tree.window_bytes()
+        p = window[-1 - rng.draw(4):]
+        assert tree.find_all(p) == naive_occurrences(window, p)
+    merged = [node for node in ever_indexed if node.index is None]
+    assert len(ever_indexed) > 10 and merged
 
 
 def test_every_internal_node_gets_suffix_link():
@@ -356,6 +404,42 @@ def test_recycling_builds_only_the_peak_tree(mode, monkeypatch):
         assert checks.audit(tree).violations() == [], label
 
 
+def test_linked_children_keep_a_sigma_4_tree_small():
+    # children are first-child / next-sibling links, not a dict per node;
+    # with a dict per internal node this tree took about 314 bytes a symbol
+    assert all("children" not in cls.__slots__ for cls in (InternalNode, LeafNode))
+    rng = Lcg(1)
+    data = bytes(97 + rng.draw(4) for _ in range(12_288))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tree = SlidingSuffixTree(4096)
+        tree.extend(data)
+        used = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(tree) == 4096 and tree._spare_nodes and tree._spare_leaves
+    assert used / 4096 <= 230, used / 4096
+
+
+@pytest.mark.parametrize("mode", ["plp", "credit"])
+def test_spare_problems_finds_linked_spares(mode):
+    tree = build("abcabdabcabe", mode=mode)
+    for _ in range(6):
+        tree.delete_front()
+    assert spare_problems(tree) == []
+    leaf, node = tree._spare_leaves[0], tree._spare_nodes[0]
+    live = tree.root.first
+    leaf.sibling = live
+    node.first = live
+    assert spare_problems(tree) == [f"spare {leaf!r} still has a sibling",
+                                    f"spare {node!r} still has a first child"]
+    leaf.sibling = node.first = None
+    tree.root.index[ord("z")] = leaf
+    assert spare_problems(tree) == [f"spare {leaf!r} is reachable from the live tree"]
+
+
 def _fields(obj, skip):
     return {name: getattr(obj, name) for name in type(obj).__slots__ if name not in skip}
 
@@ -364,8 +448,11 @@ def _fields(obj, skip):
 def test_recycled_objects_reach_the_hook_as_if_new(mode):
     # the hook of the leaf event that attaches a leaf, and a node split off
     # for it, sees exactly the fields their constructors give
-    leaf_skip = ("parent", "spos")
-    node_skip = ("parent", "depth", "children")
+    # fields that place the object in the tree: its parent, position, key
+    # and links (a new node holds the child it split off, and the sibling
+    # that child had)
+    leaf_skip = ("parent", "spos", "key")
+    node_skip = ("parent", "depth", "key", "first", "sibling")
     new_leaf = _fields(LeafNode(None, 1), leaf_skip)
     new_node = _fields(InternalNode(None, 1), node_skip)
     reused_leaves = reused_nodes = 0
