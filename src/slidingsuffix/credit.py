@@ -66,10 +66,8 @@ class CreditMaintenance:
         # the shortened leaf counts as newly created and credits its parent
         self.update(w, u.spos)
 
-    def on_leaf_deleting(self, u, w):
-        # a non-root w left with one child merges away; a credit it holds
-        # passes to its parent so no information is lost
-        if w.cred and w.parent is not None:
-            y = w.first.sibling
-            if y is not None and y.sibling is None:
-                self.update(w.parent, w.lp)
+    def on_leaf_deleting(self, u, w, merges):
+        # a credit held by a w that merges away passes to its parent, so no
+        # information is lost
+        if merges and w.cred:
+            self.update(w.parent, w.lp)

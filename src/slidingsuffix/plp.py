@@ -11,24 +11,14 @@ handful of flag/pointer writes restore the invariants.
 
 Each leaf also records the secondary node whose pointer targets it
 (``plp_inv``), so the one pointer that must be rewired on a primary-leaf
-deletion is found in O(1).  The root needs no case of its own: it is the
-secondary node at the top of its path, the leaf ending that path names it
-in ``plp_inv``, and on an empty tree it points at itself.
+deletion is found in O(1); any other child of the leaf's parent may take
+over its path, and the first one at hand does, so every hook reads and
+writes O(1) nodes whatever the fan-out.  The root needs no case of its own:
+it is the secondary node at the top of its path, the leaf ending that path
+names it in ``plp_inv``, and on an empty tree it points at itself.
 """
 
 from __future__ import annotations
-
-
-def _secondary_child(w):
-    """The lowest-keyed non-primary child of w: a deterministic choice of
-    the child a deletion promotes onto a primary path."""
-    best = None
-    child = w.first
-    while child is not None:
-        if not child.prim and (best is None or child.key < best.key):
-            best = child
-        child = child.sibling
-    return best
 
 
 class PlpMaintenance:
@@ -108,18 +98,20 @@ class PlpMaintenance:
         # pointer stays valid without a single write
         pass
 
-    def on_leaf_deleting(self, u, w):
+    def on_leaf_deleting(self, u, w, merges):
         """Restore the invariants before leaf u detaches from w.
 
         Called while u is still attached; the caller afterwards removes u
-        and, if w is a non-root node left with one child, merges w away,
-        which needs no repair beyond the case analysis here.  The root is
-        an ordinary secondary node that never merges: its primary leaf's
-        ``plp_inv`` names it like any other path head.
+        and, if ``merges``, merges w away, which needs no repair beyond the
+        case analysis here.  The root is an ordinary secondary node that
+        never merges: its primary leaf's ``plp_inv`` names it like any other
+        path head.  The child y promoted in u's place, or left by a merge,
+        is w's first child other than u: one sibling read at most.
         """
-        y = w.first.sibling  # None when u is w's only child
-        merges = (y is not None and y.sibling is None and not w.prim
-                  and w.parent is not None)
+        y = w.first
+        if y is u:
+            y = u.sibling  # None when u is w's only child
+        merges = merges and not w.prim  # a primary w's path goes on through y
         if u.prim:
             if merges:
                 # w is secondary with two children: the path started at w,
@@ -132,8 +124,7 @@ class PlpMaintenance:
                 n = 1
             else:
                 # the path through u survives above w (or above the merged
-                # edge): reroute it through a promoted sibling
-                y = _secondary_child(w)
+                # edge): reroute it through the promoted sibling y
                 v = y if y.first is None else y.plp
                 y.prim = True
                 z.plp = v
@@ -142,8 +133,6 @@ class PlpMaintenance:
         elif merges:
             # w merges away and its path must restart at the surviving
             # child, which had been primary
-            if y is u:
-                y = w.first
             y.prim = False
             if y.first is None:
                 y.plp_inv = None  # a secondary leaf points at itself

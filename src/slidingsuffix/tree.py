@@ -40,8 +40,9 @@ Two interchangeable leaf-pointer maintenance modes exist:
 
 Departed objects are recycled.  `delete_front` puts each leaf it detaches
 and each node it merges away on a spare list, unlinked, and `append` takes
-an object from the list when one is there, resetting it to the state its
-constructor gives, and constructs a new one only when the list is empty.
+an object from the list when one is there and resets it by running its
+constructor again, so the fields each mode keeps are reset in one place;
+it constructs a new object only when the list is empty.
 So the leaves ever constructed number the peak of live leaves, and live
 plus spare leaves equal that peak at every moment; the same holds for
 internal nodes.  Both peaks are at most ``capacity``, so space stays O(W)
@@ -62,9 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 from typing import Optional, Union
 
-from .plp import PlpMaintenance
-from .credit import CreditMaintenance
-from . import matching
+from . import credit, matching, plp
 
 MODES = ("plp", "credit")
 
@@ -229,7 +228,7 @@ class SlidingSuffixTree:
         self._leaf_slots: list = [None] * capacity
         self._spare_leaves: list = []  # detached leaves, reused by `append`
         self._spare_nodes: list = []   # merged internal nodes, likewise
-        self.maint = (PlpMaintenance if mode == "plp" else CreditMaintenance)(self)
+        self.maint = (plp.PlpMaintenance if mode == "plp" else credit.CreditMaintenance)(self)
 
     # -- introspection ----------------------------------------------------
 
@@ -421,15 +420,8 @@ class SlidingSuffixTree:
                 # w under the symbol at the locus
                 key = below.key
                 if spare_nodes:
-                    # a merged node, already unlinked and without suffix
-                    # link or pointer; the rest as `InternalNode` sets it
                     w = spare_nodes.pop()
-                    w.parent = ins
-                    w.depth = ins.depth + proj
-                    w.key = key
-                    w.prim = False
-                    w.cred = 0
-                    w.lp = 0
+                    w.__init__(ins, ins.depth + proj, key)
                 else:
                     w = InternalNode(ins, ins.depth + proj, key)
                 w.sibling = below.sibling
@@ -443,12 +435,8 @@ class SlidingSuffixTree:
                 split_child = below
             spos = head + 1 - w.depth
             if spare_leaves:
-                u = spare_leaves.pop()  # unlinked, as `LeafNode` leaves it
-                u.parent = w
-                u.key = sym
-                u.spos = spos
-                u.prim = False
-                u.plp_inv = None
+                u = spare_leaves.pop()
+                u.__init__(w, spos, sym)
             else:
                 u = LeafNode(w, spos, sym)
             if last is None:
@@ -521,7 +509,9 @@ class SlidingSuffixTree:
             else:
                 self.ins = ins.suffix_link
         else:
-            self.maint.on_leaf_deleting(u, w)
+            # a non-root node merges away when u is one of its two children
+            merges = w is not self.root and w.first.sibling.sibling is None
+            self.maint.on_leaf_deleting(u, w, merges)
             _relink(w, u, u.sibling)
             if w.index is not None:
                 del w.index[u.key]
@@ -531,10 +521,10 @@ class SlidingSuffixTree:
             self._spare_leaves.append(u)
             counters = self.counters
             counters.leaves_deleted += 1
-            y = w.first
-            if w is not self.root and y.sibling is None:
+            if merges:
                 # w no longer branches: its one child y takes w's place and
                 # key among x's children
+                y = w.first
                 x = w.parent
                 if self.ins is w:
                     # the locus representation counted from w; re-anchor it
@@ -546,13 +536,10 @@ class SlidingSuffixTree:
                 if x.index is not None:
                     x.index[y.key] = y
                 y.parent = x
-                # every live reference into w was repaired above; clearing its
-                # own leaves the spare `append` expects: no links, suffix
-                # link or pointer (w.plp may name u, whose plp_inv names w)
+                # every live reference into w was repaired above; the spare
+                # keeps no place in the tree, and `append` resets the rest
                 w.first = w.sibling = w.index = None
                 w.parent = None
-                w.suffix_link = None
-                w.plp = None
                 self._spare_nodes.append(w)
                 counters.nodes_deleted += 1
         self.tail = tail + 1

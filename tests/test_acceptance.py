@@ -177,6 +177,7 @@ def test_criterion_8_linear_churn(sweep):
     assert not sweep.churn_bad, sweep.churn_bad[:5]
 
 
+@pytest.mark.slow
 def test_criterion_9_throughput_scaling(tmp_path, capsys):
     """Streaming 2.5/5/10 MB of sigma=4 noise with a 65536 window must look
     linear: each doubling may cost at most ~2.2x the previous wall time.

@@ -19,7 +19,7 @@ TOPOLOGY = {
 }
 MAINTENANCE = {
     ("plp", 2, 64): dict(plp_field_writes_total=95417, plp_field_writes_max_event=4),
-    ("plp", 4, 1000): dict(plp_field_writes_total=78920, plp_field_writes_max_event=4),
+    ("plp", 4, 1000): dict(plp_field_writes_total=79717, plp_field_writes_max_event=4),
     ("credit", 2, 64): dict(credit_update_calls_total=53086,
                             credit_update_calls_max_event=11),
     ("credit", 4, 1000): dict(credit_update_calls_total=47527,

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import slidingsuffix
 
 TESTS = Path(__file__).resolve().parent
@@ -19,6 +21,7 @@ CORE = ("test_tree_core.py", "test_plp.py", "test_credit.py", "test_checks.py",
         "test_exhaustive.py")
 
 
+@pytest.mark.slow
 def test_core_tests_pass_under_python_O():
     env = dict(os.environ, PYTHONPATH=str(Path(slidingsuffix.__file__).parents[1]))
     proc = subprocess.run(

@@ -143,22 +143,52 @@ class CountingSlot:
         self.slot.__set__(obj, value)
 
 
+def count_sibling_reads(monkeypatch):
+    """Put a `CountingSlot` in place of both node classes' ``sibling`` slot
+    and return a function that gives the reads counted so far."""
+    slots = [CountingSlot(cls.__dict__["sibling"]) for cls in (InternalNode, LeafNode)]
+    for cls, slot in zip((InternalNode, LeafNode), slots):
+        monkeypatch.setattr(cls, "sibling", slot)
+    return lambda: sum(slot.reads for slot in slots)
+
+
 def test_primary_node_answers_from_at_most_two_children(monkeypatch):
     # "a" splits the root's primary leaf, so its node is primary, and it
     # gains one child per symbol that follows an "a"
     tree = build("".join("a" + chr(c) for c in range(ord("b"), ord("z"))))
     node = node_by_string(tree, "a")
     assert node.prim and len(node.children) == 24
-    slots = [CountingSlot(cls.__dict__["sibling"]) for cls in (InternalNode, LeafNode)]
-    for cls, slot in zip((InternalNode, LeafNode), slots):
-        monkeypatch.setattr(cls, "sibling", slot)
+    sibling_reads = count_sibling_reads(monkeypatch)
     leaf = tree.leafptr(node)
-    reads = sum(slot.reads for slot in slots)
+    reads = sibling_reads()
     assert len(node.children) == 24  # the counting sees a full scan
-    scan = sum(slot.reads for slot in slots) - reads
+    scan = sibling_reads() - reads
     monkeypatch.undo()
     assert reads <= 1 and scan == 24
     assert leaf.children is None and leaf.parent is node
+
+
+def test_deleting_a_primary_leaf_reads_at_most_one_sibling(monkeypatch):
+    # in a window of 24 distinct bytes the first leaf is the root's primary
+    # child; deleting it promotes one of the 23 others onto the root's path
+    tree = SlidingSuffixTree(24)
+    tree.extend(bytes(range(24)))
+    victim = tree.leaf_at(tree.tail)
+    assert victim.prim and len(tree.root.children) == 24
+    sibling_reads = count_sibling_reads(monkeypatch)
+    hook = tree.maint.on_leaf_deleting
+    reads = []
+
+    def counted_hook(*args):
+        before = sibling_reads()
+        hook(*args)
+        reads.append(sibling_reads() - before)
+
+    tree.maint.on_leaf_deleting = counted_hook
+    tree.slide(24)
+    monkeypatch.undo()
+    assert len(reads) == 1 and reads[0] <= 1, reads
+    assert tree.root.plp.prim and checks.audit(tree).pointers == []
 
 
 def test_query_returns_in_window_descendant_over_long_stream():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import slidingsuffix
 from slidingsuffix import SlidingSuffixTree
 from slidingsuffix import checks
+from slidingsuffix import tree as tree_module
 from slidingsuffix.tree import WIDE, InternalNode, LeafNode
 from slidingsuffix.oracle import naive_occurrences, naive_suffix_tree
 from slidingsuffix.verify import Lcg
@@ -375,14 +376,18 @@ def test_sliding_leaves_no_cyclic_garbage(mode):
 
 @pytest.mark.parametrize("mode", ["plp", "credit"])
 def test_recycling_builds_only_the_peak_tree(mode, monkeypatch):
-    # a node is constructed only when no spare is left, so live plus spare
-    # objects always equal the peak live count, and that is all ever built
+    # a node is allocated only when no spare is left, so live plus spare
+    # objects always equal the peak live count, and that is all ever built;
+    # a reused spare runs `__init__` again, so allocations are what count.
+    # `__new__` is wrapped on subclasses the tree builds in place of its own
+    # classes: CPython cannot restore a class's inherited `__new__`
     built = {LeafNode: 0, InternalNode: 0}
     for cls in built:
-        def counting_init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+        def counting_new(klass, *args, _cls=cls, **kwargs):
             built[_cls] += 1
-            _init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counting_init)
+            return object.__new__(klass)
+        counted = type(cls.__name__, (cls,), {"__slots__": (), "__new__": counting_new})
+        monkeypatch.setattr(tree_module, cls.__name__, counted)
     for label, cap, data in sliding_streams():
         tree = SlidingSuffixTree(cap, mode=mode)
         built[LeafNode] = built[InternalNode] = 0  # not counting the root
