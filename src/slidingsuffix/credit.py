@@ -8,11 +8,24 @@ hands it to its parent so no information is lost.  The cascades keep every
 stored pointer aimed at a live leaf, but a single leaf event can trigger a
 chain of updates as long as the window depth; the pointer scheme in
 `slidingsuffix.plp` exists to avoid exactly that.
+
+`CreditNode` adds the two fields, ``cred`` and ``lp``, to the tree's
+internal node.  A leaf needs neither, so the mode's leaves are plain
+`LeafNode` objects.
 """
 
 from __future__ import annotations
 
-from . import tree as _tree
+from .tree import InternalNode, InvariantError, LeafNode
+
+
+class CreditNode(InternalNode):
+    __slots__ = ("cred", "lp")
+
+    def __init__(self, parent, depth, key=None):
+        InternalNode.__init__(self, parent, depth, key)
+        self.cred = 0
+        self.lp = 0           # start of a descendant leaf
 
 
 class CreditMaintenance:
@@ -23,6 +36,9 @@ class CreditMaintenance:
     leaf's start.
     """
 
+    node_class = CreditNode
+    leaf_class = LeafNode
+
     def __init__(self, tree):
         self.tree = tree
         self.counters = tree.counters
@@ -30,7 +46,7 @@ class CreditMaintenance:
     def leaf_for(self, node):
         leaf = self.tree.leaf_at(node.lp)
         if leaf is None:
-            raise _tree.InvariantError(f"stored leaf start {node.lp} went stale")
+            raise InvariantError(f"stored leaf start {node.lp} went stale")
         return leaf
 
     def update(self, v, k):

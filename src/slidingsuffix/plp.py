@@ -16,18 +16,48 @@ over its path, and the first one at hand does, so every hook reads and
 writes O(1) nodes whatever the fan-out.  The root needs no case of its own:
 it is the secondary node at the top of its path, the leaf ending that path
 names it in ``plp_inv``, and on an empty tree it points at itself.
+
+These fields are the mode's own: `PlpNode` adds ``prim`` and ``plp`` to the
+tree's internal node, and `PlpLeaf` adds ``prim`` and ``plp_inv`` to its
+leaf.  Both start secondary and pointing nowhere.
 """
 
 from __future__ import annotations
+
+from .tree import InternalNode, LeafNode
+
+
+class PlpNode(InternalNode):
+    __slots__ = ("prim", "plp")
+
+    def __init__(self, parent, depth, key=None):
+        InternalNode.__init__(self, parent, depth, key)
+        self.prim = False
+        self.plp = None       # leaf reached along primary edges; secondary nodes only
+
+
+class PlpLeaf(LeafNode):
+    __slots__ = ("prim", "plp_inv")
+
+    def __init__(self, parent, spos, key=None):
+        LeafNode.__init__(self, parent, spos, key)
+        self.prim = False
+        self.plp_inv = None   # secondary node whose pointer targets this leaf
 
 
 class PlpMaintenance:
     """Hook implementation installed on trees in ``"plp"`` mode.
 
-    Each leaf event calls exactly one hook, and every pointer write of the
+    Each leaf event calls at most one hook, and every pointer write of the
     scheme happens inside it.  The hook adds its own write count to the
-    counters once, so that count is the event's count.
+    counters once, so that count is the event's count.  A shortened leaf
+    keeps its place and identity, so every pointer stays valid and there is
+    no hook for it.
     """
+
+    node_class = PlpNode
+    leaf_class = PlpLeaf
+    on_leaf_shortened = None
 
     def __init__(self, tree):
         self.counters = tree.counters
@@ -58,45 +88,37 @@ class PlpMaintenance:
         """Restore the invariants after attaching leaf u under w.
 
         ``split_child`` is the old child that was pushed below w when w was
-        created by splitting an edge (None when w already existed).  A new
-        node starts secondary and pointing nowhere, so its flags are decided
-        here.
+        created by splitting an edge (None when w already existed).  The new
+        leaf, and a new w, start secondary and pointing nowhere, so only the
+        fields that must differ from that are written, and the count is
+        exactly the writes made.
         """
         if split_child is None:
-            if w.first is u:
-                # w had no child, which only happens at the root: u starts
-                # the root's primary path
-                u.prim = True
-                w.plp = u
-                u.plp_inv = w
-                n = 3
-            else:
-                # u opens a fresh path of its own
-                u.prim = False
-                n = 1
+            if w.first is not u:
+                # u opens a fresh path of its own, as a secondary leaf
+                return
+            # w had no child, which only happens at the root: u starts the
+            # root's primary path
+            u.prim = True
+            w.plp = u
+            u.plp_inv = w
+            n = 3
         elif split_child.prim:
             # w landed on a primary path; it joins that path and the new
             # leaf starts its own
             w.prim = True
-            u.prim = False
-            n = 2
+            n = 1
         else:
             # w heads a new path ending at the new leaf; the old child keeps
             # its own
-            w.prim = False
             u.prim = True
             w.plp = u
             u.plp_inv = w
-            n = 4
+            n = 3
         c = self.counters
         c.plp_field_writes_total += n
         if n > c.plp_field_writes_max_event:
             c.plp_field_writes_max_event = n
-
-    def on_leaf_shortened(self, u, w):
-        # an in-place relabel keeps tree shape and leaf identity, so every
-        # pointer stays valid without a single write
-        pass
 
     def on_leaf_deleting(self, u, w, merges):
         """Restore the invariants before leaf u detaches from w.

@@ -38,11 +38,17 @@ Two interchangeable leaf-pointer maintenance modes exist:
   start of some descendant leaf plus a binary credit, refreshed by update
   chains that may climb the whole tree.
 
+`InternalNode` and `LeafNode` hold the tree's shape only.  Each mode keeps
+its pointer fields in subclasses of its own, which its maintenance class
+names as ``node_class`` and ``leaf_class``; the tree builds its root,
+split nodes and leaves from those two classes.
+
 Departed objects are recycled.  `delete_front` puts each leaf it detaches
 and each node it merges away on a spare list, unlinked, and `append` takes
 an object from the list when one is there and resets it by running its
-constructor again, so the fields each mode keeps are reset in one place;
-it constructs a new object only when the list is empty.
+constructor again: the base constructor resets the shape and the mode's
+constructor the mode's fields.  It constructs a new object only when the
+list is empty.
 So the leaves ever constructed number the peak of live leaves, and live
 plus spare leaves equal that peak at every moment; the same holds for
 internal nodes.  Both peaks are at most ``capacity``, so space stays O(W)
@@ -62,8 +68,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 from typing import Optional, Union
-
-from . import credit, matching, plp
 
 MODES = ("plp", "credit")
 
@@ -108,10 +112,13 @@ class InvariantError(AssertionError):
 
 
 class InternalNode:
-    """Branching node; its children are ``first`` and that child's siblings."""
+    """Branching node; its children are ``first`` and that child's siblings.
+
+    Each mode subclasses it with the pointer fields it keeps.
+    """
 
     __slots__ = ("parent", "first", "sibling", "key", "index", "suffix_link",
-                 "depth", "prim", "plp", "cred", "lp")
+                 "depth")
 
     def __init__(self, parent, depth, key=None):
         self.parent = parent
@@ -121,10 +128,6 @@ class InternalNode:
         self.index = None     # {key: child} of a wide node, else None
         self.suffix_link = None
         self.depth = depth
-        self.prim = False
-        self.plp = None       # leaf reached along primary edges; secondary nodes only
-        self.cred = 0
-        self.lp = 0           # start of a descendant leaf; credit mode only
 
     @property
     def children(self) -> dict:
@@ -143,7 +146,7 @@ class InternalNode:
 class LeafNode:
     """Leaf for the suffix starting at ``spos``; its label runs to the window head."""
 
-    __slots__ = ("parent", "sibling", "key", "spos", "prim", "plp_inv")
+    __slots__ = ("parent", "sibling", "key", "spos")
 
     # shared markers: `node.first is None` tests leafness wherever the node
     # cannot be an empty root, and `node.children is None` everywhere
@@ -155,11 +158,13 @@ class LeafNode:
         self.sibling = None
         self.key = key
         self.spos = spos
-        self.prim = False
-        self.plp_inv = None   # secondary node whose pointer targets this leaf
 
     def __repr__(self):
         return f"<leaf spos={self.spos}>"
+
+
+# the modes subclass the node classes above, so they are imported below them
+from . import credit, matching, plp  # noqa: E402
 
 
 def _relink(parent, old, new):
@@ -221,14 +226,15 @@ class SlidingSuffixTree:
         self.buf = bytearray(2 * capacity)
         self.mode = mode
         self.counters = Counters()
-        self.root = InternalNode(parent=None, depth=0)
+        maint_class = plp.PlpMaintenance if mode == "plp" else credit.CreditMaintenance
+        self.root = maint_class.node_class(None, 0)
         self.root.index = {}
         self.ins = self.root
         self.proj = 0
         self._leaf_slots: list = [None] * capacity
         self._spare_leaves: list = []  # detached leaves, reused by `append`
         self._spare_nodes: list = []   # merged internal nodes, likewise
-        self.maint = (plp.PlpMaintenance if mode == "plp" else credit.CreditMaintenance)(self)
+        self.maint = maint_class(self)
 
     # -- introspection ----------------------------------------------------
 
@@ -423,7 +429,7 @@ class SlidingSuffixTree:
                     w = spare_nodes.pop()
                     w.__init__(ins, ins.depth + proj, key)
                 else:
-                    w = InternalNode(ins, ins.depth + proj, key)
+                    w = maint.node_class(ins, ins.depth + proj, key)
                 w.sibling = below.sibling
                 _relink(ins, below, w)
                 if ins.index is not None:
@@ -438,7 +444,7 @@ class SlidingSuffixTree:
                 u = spare_leaves.pop()
                 u.__init__(w, spos, sym)
             else:
-                u = LeafNode(w, spos, sym)
+                u = maint.leaf_class(w, spos, sym)
             if last is None:
                 w.first = u
             else:
@@ -503,7 +509,8 @@ class SlidingSuffixTree:
             slots[slot] = None
             slots[new_slot] = u
             u.spos = new_spos
-            self.maint.on_leaf_shortened(u, w)
+            if self.maint.on_leaf_shortened is not None:
+                self.maint.on_leaf_shortened(u, w)
             if ins is self.root:
                 self.proj -= 1
             else:

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 import slidingsuffix
 from slidingsuffix import SlidingSuffixTree
 from slidingsuffix import checks
-from slidingsuffix import tree as tree_module
 from slidingsuffix.tree import WIDE, InternalNode, LeafNode
 from slidingsuffix.oracle import naive_occurrences, naive_suffix_tree
 from slidingsuffix.verify import Lcg
@@ -379,18 +378,20 @@ def test_recycling_builds_only_the_peak_tree(mode, monkeypatch):
     # a node is allocated only when no spare is left, so live plus spare
     # objects always equal the peak live count, and that is all ever built;
     # a reused spare runs `__init__` again, so allocations are what count.
-    # `__new__` is wrapped on subclasses the tree builds in place of its own
-    # classes: CPython cannot restore a class's inherited `__new__`
-    built = {LeafNode: 0, InternalNode: 0}
-    for cls in built:
-        def counting_new(klass, *args, _cls=cls, **kwargs):
-            built[_cls] += 1
+    # `__new__` is wrapped on subclasses the tree builds in place of its
+    # mode's classes: CPython cannot restore a class's inherited `__new__`
+    maint = type(SlidingSuffixTree(1, mode=mode).maint)
+    built = {"leaf_class": 0, "node_class": 0}
+    for attr in built:
+        def counting_new(klass, *args, _attr=attr, **kwargs):
+            built[_attr] += 1
             return object.__new__(klass)
+        cls = getattr(maint, attr)
         counted = type(cls.__name__, (cls,), {"__slots__": (), "__new__": counting_new})
-        monkeypatch.setattr(tree_module, cls.__name__, counted)
+        monkeypatch.setattr(maint, attr, counted)
     for label, cap, data in sliding_streams():
         tree = SlidingSuffixTree(cap, mode=mode)
-        built[LeafNode] = built[InternalNode] = 0  # not counting the root
+        built["leaf_class"] = built["node_class"] = 0  # not counting the root
         c = tree.counters
         peak_leaves = peak_nodes = 0
         for sym in data:
@@ -399,12 +400,12 @@ def test_recycling_builds_only_the_peak_tree(mode, monkeypatch):
             nodes = c.nodes_created - c.nodes_deleted
             peak_leaves = max(peak_leaves, leaves)
             peak_nodes = max(peak_nodes, nodes)
-            assert leaves + len(tree._spare_leaves) == peak_leaves == built[LeafNode], label
-            assert nodes + len(tree._spare_nodes) == peak_nodes == built[InternalNode], label
+            assert leaves + len(tree._spare_leaves) == peak_leaves == built["leaf_class"], label
+            assert nodes + len(tree._spare_nodes) == peak_nodes == built["node_class"], label
         live = list(tree.iter_nodes())
         assert sum(n.children is None for n in live) == leaves, label
         assert sum(n.children is not None for n in live) == nodes + 1, label
-        assert built[LeafNode] <= cap and built[InternalNode] <= cap, label
+        assert built["leaf_class"] <= cap and built["node_class"] <= cap, label
         assert spare_problems(tree) == [], label
         assert checks.audit(tree).violations() == [], label
 
@@ -445,8 +446,14 @@ def test_spare_problems_finds_linked_spares(mode):
     assert spare_problems(tree) == [f"spare {leaf!r} is reachable from the live tree"]
 
 
+def _slots(cls):
+    """Every slot of cls, its bases' included: ``__slots__`` lists only a
+    class's own."""
+    return [name for c in cls.__mro__ for name in getattr(c, "__slots__", ())]
+
+
 def _fields(obj, skip):
-    return {name: getattr(obj, name) for name in type(obj).__slots__ if name not in skip}
+    return {name: getattr(obj, name) for name in _slots(type(obj)) if name not in skip}
 
 
 @pytest.mark.parametrize("mode", ["plp", "credit"])
@@ -458,8 +465,9 @@ def test_recycled_objects_reach_the_hook_as_if_new(mode):
     # that child had)
     leaf_skip = ("parent", "spos", "key")
     node_skip = ("parent", "depth", "key", "first", "sibling")
-    new_leaf = _fields(LeafNode(None, 1), leaf_skip)
-    new_node = _fields(InternalNode(None, 1), node_skip)
+    maint = type(SlidingSuffixTree(1, mode=mode).maint)
+    new_leaf = _fields(maint.leaf_class(None, 1), leaf_skip)
+    new_node = _fields(maint.node_class(None, 1), node_skip)
     reused_leaves = reused_nodes = 0
     for label, cap, data in sliding_streams():
         tree = SlidingSuffixTree(cap, mode=mode)
@@ -477,6 +485,25 @@ def test_recycled_objects_reach_the_hook_as_if_new(mode):
         reused_leaves += c.leaves_deleted - len(tree._spare_leaves)
         reused_nodes += c.nodes_deleted - len(tree._spare_nodes)
     assert reused_leaves > 10_000 and reused_nodes > 10_000
+
+
+def test_each_mode_owns_its_node_fields():
+    # the shared classes hold the tree's shape; each mode's pointer fields
+    # are on its own classes, and no object carries the other mode's
+    plp_fields = {"prim", "plp", "plp_inv"}
+    credit_fields = {"cred", "lp"}
+    assert not (plp_fields | credit_fields) & set(InternalNode.__slots__ + LeafNode.__slots__)
+    text = "abcabdabcabeabcabd"
+    credit = build(text, mode="credit")
+    plp = build(text, mode="plp")
+    for tree in (credit, plp):
+        live = list(tree.iter_nodes())
+        assert any(n.children is None for n in live) and len(live) > 10
+        for node in live:
+            slots = set(_slots(type(node)))
+            assert len(slots) == (9 if node.children is not None
+                                  else 4 if tree is credit else 6), node
+            assert not slots & (plp_fields if tree is credit else credit_fields), node
 
 
 def test_invariant_checks_survive_python_O():
