@@ -23,7 +23,14 @@ class CreditNode(InternalNode):
     __slots__ = ("cred", "lp")
 
     def __init__(self, parent, depth, key=None):
-        InternalNode.__init__(self, parent, depth, key)
+        # the shared fields as in `InternalNode.__init__`: one call per node
+        self.parent = parent
+        self.first = None
+        self.sibling = None
+        self.key = key
+        self.index = None
+        self.suffix_link = None
+        self.depth = depth
         self.cred = 0
         self.lp = 0           # start of a descendant leaf
 
@@ -40,13 +47,16 @@ class CreditMaintenance:
     leaf_class = LeafNode
 
     def __init__(self, tree):
-        self.tree = tree
+        self.slots = tree._leaf_slots
+        self.capacity = tree.capacity
         self.counters = tree.counters
 
     def leaf_for(self, node):
-        leaf = self.tree.leaf_at(node.lp)
-        if leaf is None:
-            raise InvariantError(f"stored leaf start {node.lp} went stale")
+        """The leaf starting at ``node.lp``: `tree.leaf_at`, read in place."""
+        lp = node.lp
+        leaf = self.slots[(lp - 1) % self.capacity]
+        if leaf is None or leaf.spos != lp:
+            raise InvariantError(f"stored leaf start {lp} went stale")
         return leaf
 
     def update(self, v, k):

@@ -31,7 +31,15 @@ class PlpNode(InternalNode):
     __slots__ = ("prim", "plp")
 
     def __init__(self, parent, depth, key=None):
-        InternalNode.__init__(self, parent, depth, key)
+        # every field is assigned here, the shared ones as in
+        # `InternalNode.__init__`, so building a node is one call
+        self.parent = parent
+        self.first = None
+        self.sibling = None
+        self.key = key
+        self.index = None
+        self.suffix_link = None
+        self.depth = depth
         self.prim = False
         self.plp = None       # leaf reached along primary edges; secondary nodes only
 
@@ -40,7 +48,11 @@ class PlpLeaf(LeafNode):
     __slots__ = ("prim", "plp_inv")
 
     def __init__(self, parent, spos, key=None):
-        LeafNode.__init__(self, parent, spos, key)
+        # the shared fields as in `LeafNode.__init__`: one call per leaf
+        self.parent = parent
+        self.sibling = None
+        self.key = key
+        self.spos = spos
         self.prim = False
         self.plp_inv = None   # secondary node whose pointer targets this leaf
 

@@ -62,6 +62,13 @@ symbols hanging below it.  The pending descent implied by ``proj`` is
 normalized lazily by `canonize`.  Because the tracked locus is always a
 suffix of the window, the first symbol of the edge below ``ins`` is the
 window symbol at ``head - proj + 1``.
+
+A slide descends to the locus once.  The front deletion canonizes it to
+learn whether the locus lies on the departing leaf's edge, and hands the
+node it found below the locus to the append that follows, whose first
+sub-iteration would otherwise descend to the same node (see
+`_delete_front` for when that node stays valid).  The append runs the
+descents of its later sub-iterations inline, on its own locals.
 """
 
 from __future__ import annotations
@@ -302,7 +309,7 @@ class SlidingSuffixTree:
 
     # -- active point -----------------------------------------------------
 
-    def canonize(self):
+    def _canonize(self):
         """Normalize ``(ins, proj)`` and return the node at or below the locus.
 
         Returns ``ins`` itself when the active point rests on a node,
@@ -345,6 +352,9 @@ class SlidingSuffixTree:
         self.proj = proj
         return child
 
+    # the public name; the slide path calls `_canonize`, or descends inline
+    canonize = _canonize
+
     # -- mutation ---------------------------------------------------------
 
     def append(self, sym: Symbol) -> None:
@@ -353,17 +363,24 @@ class SlidingSuffixTree:
             sym = as_symbol(sym)
         if self.head - self.tail + 1 >= self.capacity:
             raise ValueError("window is full; delete_front before appending")
-        self._append(sym)
+        self._append(sym, None)
 
-    def _append(self, sym: int) -> None:
+    def _append(self, sym: int, below) -> None:
         """`append` of a checked symbol into a window with room for it.
 
         Runs sub-iterations from the current active point: each one either
         finds the extended suffix already present (and stops) or inserts a
         new leaf, splitting an edge when the locus is mid-edge, then drops
         to the next shorter suffix via a suffix link.  The active point
-        lives in locals and is stored back only around `canonize` and at
-        the end.
+        lives in locals, and each sub-iteration's descent is `canonize`'s,
+        run inline on them.
+
+        ``below`` is None, or the node at the far end of the edge that
+        holds the canonical locus, as `_delete_front` returns it; the first
+        sub-iteration then starts from it and does not descend.  The
+        descent remembers the node whose link reaches the child it stops
+        at, so an edge split relinks in O(1); after a dict lookup or a
+        hint, the split scans for that link (`_relink`).
         """
         head = self.head
         cap = self.capacity
@@ -375,16 +392,36 @@ class SlidingSuffixTree:
         spare_nodes = self._spare_nodes
         ins = self.ins
         proj = self.proj
+        pred = None  # ins if below is ins.first, else the sibling before it; None: unknown
         extensions = nodes = leaves = 0
         v = None  # node created/used last sub-iteration, owed a suffix link
         while True:
             extensions += 1
-            if proj:
-                self.ins = ins
-                self.proj = proj
-                below = self.canonize()
-                ins = self.ins
-                proj = self.proj
+            if proj and below is None:
+                while True:
+                    key = buf[(head - proj) % cap]
+                    index = ins.index
+                    if index is None:
+                        pred = ins
+                        below = ins.first
+                        while below.key != key:
+                            pred = below
+                            below = below.sibling
+                    else:
+                        pred = None
+                        below = index[key]
+                    if below.first is None:
+                        if proj < head - below.spos + 1 - ins.depth:
+                            break
+                        raise InvariantError(f"active point descends past the end of "
+                                             f"leaf {below.spos}")
+                    edge_len = below.depth - ins.depth
+                    if proj < edge_len:
+                        break
+                    ins = below
+                    proj -= edge_len
+                    if proj == 0:
+                        break
             if proj == 0:
                 # a miss stops at the last child, which the new leaf follows
                 last = None
@@ -431,7 +468,12 @@ class SlidingSuffixTree:
                 else:
                     w = maint.node_class(ins, ins.depth + proj, key)
                 w.sibling = below.sibling
-                _relink(ins, below, w)
+                if pred is ins:
+                    ins.first = w
+                elif pred is not None:
+                    pred.sibling = w
+                else:
+                    _relink(ins, below, w)
                 if ins.index is not None:
                     ins.index[key] = w
                 w.first = last = below
@@ -439,6 +481,7 @@ class SlidingSuffixTree:
                 below.key = mid
                 nodes += 1
                 split_child = below
+            below = None
             spos = head + 1 - w.depth
             if spare_leaves:
                 u = spare_leaves.pop()
@@ -489,10 +532,23 @@ class SlidingSuffixTree:
         and the merged node go on the spare lists that `append` draws from;
         a shortened leaf keeps its place in the tree.
         """
+        self._delete_front()
+
+    def _delete_front(self):
+        """`delete_front`, returning the hint `_append` takes as ``below``.
+
+        The deletion canonizes the active point to find out whether the
+        locus sits on the departing leaf's edge.  Unless the leaf is then
+        shortened, which moves the locus, the node it found below the locus
+        stays below it: a merge that removes that node, or the node the
+        locus is counted from, leaves the surviving child there instead.
+        So the returned node is the one the next append's first descent
+        would reach, or None when it is not known.
+        """
         tail = self.tail
         if self.head < tail:
             raise ValueError("window is empty")
-        below = self.canonize() if self.proj else None
+        below = self._canonize() if self.proj else None
         cap = self.capacity
         slots = self._leaf_slots
         slot = (tail - 1) % cap
@@ -515,28 +571,26 @@ class SlidingSuffixTree:
                 self.proj -= 1
             else:
                 self.ins = ins.suffix_link
+            below = None
         else:
             # a non-root node merges away when u is one of its two children
             merges = w is not self.root and w.first.sibling.sibling is None
             self.maint.on_leaf_deleting(u, w, merges)
-            _relink(w, u, u.sibling)
-            if w.index is not None:
-                del w.index[u.key]
-            u.sibling = None
-            slots[slot] = None
-            u.parent = None
-            self._spare_leaves.append(u)
-            counters = self.counters
-            counters.leaves_deleted += 1
             if merges:
                 # w no longer branches: its one child y takes w's place and
-                # key among x's children
+                # key among x's children; w's own links are cleared below,
+                # so u need not be unlinked from them
                 y = w.first
+                if y is u:
+                    y = u.sibling
                 x = w.parent
                 if self.ins is w:
                     # the locus representation counted from w; re-anchor it
                     self.proj += w.depth - x.depth
                     self.ins = x
+                    below = y
+                elif below is w:
+                    below = y
                 y.key = w.key
                 y.sibling = w.sibling
                 _relink(x, w, y)
@@ -548,8 +602,18 @@ class SlidingSuffixTree:
                 w.first = w.sibling = w.index = None
                 w.parent = None
                 self._spare_nodes.append(w)
-                counters.nodes_deleted += 1
+                self.counters.nodes_deleted += 1
+            else:
+                _relink(w, u, u.sibling)
+                if w.index is not None:
+                    del w.index[u.key]
+            u.sibling = None
+            slots[slot] = None
+            u.parent = None
+            self._spare_leaves.append(u)
+            self.counters.leaves_deleted += 1
         self.tail = tail + 1
+        return below
 
     def slide(self, sym: Symbol) -> None:
         """Append, first deleting the front symbol if the window is full;
@@ -557,12 +621,14 @@ class SlidingSuffixTree:
         if type(sym) is not int or not 0 <= sym <= 255:
             sym = as_symbol(sym)
         if self.head - self.tail + 1 >= self.capacity:
-            self.delete_front()
-        self._append(sym)
+            self._append(sym, self._delete_front())
+        else:
+            self._append(sym, None)
 
     def extend(self, data) -> None:
+        slide = self.slide
         for sym in data:
-            self.slide(sym)
+            slide(sym)
 
     # -- queries ----------------------------------------------------------
 
