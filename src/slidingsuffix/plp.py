@@ -140,7 +140,8 @@ class PlpMaintenance:
         case analysis here.  The root is an ordinary secondary node that
         never merges: its primary leaf's ``plp_inv`` names it like any other
         path head.  The child y promoted in u's place, or left by a merge,
-        is w's first child other than u: one sibling read at most.
+        is w's first child other than u: one sibling read at most.  Every
+        write changes a field, so the count is exactly the writes made.
         """
         y = w.first
         if y is u:
@@ -172,10 +173,15 @@ class PlpMaintenance:
                 y.plp_inv = None  # a secondary leaf points at itself
                 n = 2
             else:
+                # y may still hold, from an earlier time as a path head,
+                # the pointer it is given; then that write is not made
                 v = w.plp
-                y.plp = v
                 v.plp_inv = y
-                n = 3
+                if y.plp is v:
+                    n = 2
+                else:
+                    y.plp = v
+                    n = 3
         else:
             # a secondary leaf under a parent that survives (the root
             # always does) takes only its own path with it

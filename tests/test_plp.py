@@ -1,6 +1,4 @@
-import importlib.util
 from itertools import islice
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +9,7 @@ from slidingsuffix.tree import InternalNode, LeafNode
 from slidingsuffix.verify import (Lcg, build_deletion_worstcase,
                                   build_insertion_worstcase, drive)
 
-from conftest import build, node_by_string
+from conftest import build, load_perfbench, node_by_string
 
 
 # -- insertion case behavior ---------------------------------------------------
@@ -275,10 +273,8 @@ class WriteObserver:
     Around every call it compares the pointer fields of every live node
     before and after, and counts the values that changed: the writes the
     call really made.  The call's own count is its change to
-    ``plp_field_writes_total``, an upper bound that also counts assignments
-    that change nothing.  Each call must observe at most what it declares,
-    and declare at most 4; an insertion must declare exactly what it
-    changes.
+    ``plp_field_writes_total``.  Each call must declare exactly what it
+    changes, and at most 4.
     """
 
     def __init__(self, *trees):
@@ -296,7 +292,6 @@ class WriteObserver:
 
     def _wrap(self, tree, hook):
         counters = tree.counters
-        exact = hook.__name__ == "on_leaf_inserted"
 
         def observed_hook(*args):
             before = plp_fields(tree)
@@ -305,8 +300,7 @@ class WriteObserver:
             declared = counters.plp_field_writes_total - total
             observed = sum(before.get(key, ABSENT) is not value
                            for key, value in plp_fields(tree).items())
-            assert observed <= declared <= 4, (hook.__name__, args, observed, declared)
-            assert observed == declared or not exact, (hook.__name__, args, observed, declared)
+            assert observed == declared <= 4, (hook.__name__, args, observed, declared)
             self.calls += 1
             self.observed += observed
             self.declared += declared
@@ -337,9 +331,7 @@ def test_seeded_streams_observe_at_most_four_writes_per_event():
             pass
     # a shortened leaf calls no plp hook, so these are insertions and deletions
     assert obs.calls > 35_000
-    # a deletion's declared count is a bound, not the count: a node made
-    # secondary again may still hold, from before, the pointer it is given
-    assert 0 < obs.observed < obs.declared
+    assert 0 < obs.observed == obs.declared
     assert (obs.max_observed, obs.max_declared) == (3, 3)
 
 
@@ -358,20 +350,11 @@ def test_worst_case_events_observe_at_most_four_writes(n):
     assert (obs.calls, obs.observed, obs.declared) == (1, 3, 3)
 
 
-def load_benchmark_expect():
-    """The benchmark's own checks, ``perfbench/expect.py``, loaded by path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "expect.py"
-    spec = importlib.util.spec_from_file_location("perfbench_expect", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_benchmark_observer_sees_the_plp_pointer_fields():
     # the benchmark observes plp writes through the slots it finds in the
     # root's and a leaf's own class; a node layout that hides them would
     # leave its plp checkpoints blind and its injected fault nothing to drop
-    expect = load_benchmark_expect()
+    expect = load_perfbench("expect")  # the benchmark's own checks
     data = b"bcabdabcabeabcabd"
     tree = SlidingSuffixTree(8)
     tree.append("a")
