@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 from slidingsuffix import SlidingSuffixTree
 
 
@@ -9,6 +12,15 @@ def build(text, capacity=None, mode="plp"):
     for sym in data:
         tree.slide(sym)
     return tree
+
+
+def load_perfbench(name: str):
+    """The benchmark's module ``perfbench/<name>.py``, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def naive_lrs(w) -> int:

@@ -4,7 +4,7 @@ Criteria 1-8 share a single randomized sweep: 1000 seeded streams (alphabet
 size cycling 1..4, stream length <= 200, window <= 20) with the brute-force
 oracle consulted after every append/delete event.  Criteria 5 and 6 add the
 analytic worst-case constructions at n in {10, 100, 1000}; criterion 9 is a
-wall-clock scaling run over 2.5/5/10 MB files.
+scaling run over 2.5/5/10 MB files, timed against the host's speed.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
@@ -19,6 +19,8 @@ import pytest
 from slidingsuffix import SlidingSuffixTree, run_worstcase
 from slidingsuffix.cli import main as cli_main
 from slidingsuffix.verify import Lcg, check, drive
+
+from conftest import load_perfbench
 
 SEEDS = 1000
 WORSTCASE_SIZES = (10, 100, 1000)
@@ -180,14 +182,21 @@ def test_criterion_8_linear_churn(sweep):
 @pytest.mark.slow
 def test_criterion_9_throughput_scaling(tmp_path, capsys):
     """Streaming 2.5/5/10 MB of sigma=4 noise with a 65536 window must look
-    linear: each doubling may cost at most ~2.2x the previous wall time.
+    linear: each doubling may cost at most ~2.2x the previous leg's time.
 
-    Wall time can only be inflated by outside interference, never deflated,
-    so each size is scored by its minimum over up to three passes (stopping
-    as soon as the bound holds); the algorithmic scaling itself is
-    deterministic.  The passes run the legs in alternating order (small to
-    large, then large to small), so a drift in host speed over a pass
-    reaches both sides of each ratio."""
+    The host's speed for the same Python code drifts by tens of percent
+    over the length of a leg, so each leg is scored by its time scaled to
+    the benchmark's nominal host speed: the wall time multiplied by the
+    speed that `perfbench/speed.py`'s probe measures just before and just
+    after the leg (their geometric mean), divided by its nominal speed.
+    Outside interference can only inflate a time, so each size is scored
+    by its minimum over up to three passes (stopping as soon as the bound
+    holds); the algorithmic scaling itself is deterministic.  The passes
+    run the legs in alternating order (small to large, then large to
+    small), so a drift that the probe misses reaches both sides of each
+    ratio."""
+    speed = load_perfbench("speed")
+    probe = speed.SpeedProbe()
     rng = Lcg(2024)
     data = bytes(97 + (rng.next() >> 33) % 4 for _ in range(10_000_000))
     sizes = (2_500_000, 5_000_000, 10_000_000)
@@ -198,22 +207,30 @@ def test_criterion_9_throughput_scaling(tmp_path, capsys):
         paths.append(path)
 
     def measure(path):
+        """(wall s, wall s scaled to the nominal host speed) of one leg."""
+        probe.sample()
         code = cli_main(["stream", str(path), "--window", "65536", "--mode", "plp"])
+        probe.sample()
         captured = capsys.readouterr().out.strip().splitlines()[-1]
         assert code == 0
-        return json.loads(captured)["elapsed_s"]
+        elapsed = json.loads(captured)["elapsed_s"]
+        host = (probe.samples[-2] * probe.samples[-1]) ** 0.5
+        return elapsed, elapsed * host / speed.NOMINAL
 
     # warm caches and the allocator before the timed legs
     warm = tmp_path / "warmup.bin"
     warm.write_bytes(data[:500_000])
     measure(warm)
-    best = None
+    raw = best = None
     for attempt in range(3):
         gc.collect()
-        times = [0.0] * len(paths)
+        times = [None] * len(paths)
         for i in (range(len(paths)) if attempt % 2 == 0 else reversed(range(len(paths)))):
             times[i] = measure(paths[i])
-        best = times if best is None else [min(a, b) for a, b in zip(best, times)]
+        pass_raw = [t[0] for t in times]
+        pass_scaled = [t[1] for t in times]
+        raw = pass_raw if raw is None else [min(a, b) for a, b in zip(raw, pass_raw)]
+        best = pass_scaled if best is None else [min(a, b) for a, b in zip(best, pass_scaled)]
         r1 = best[1] / best[0]
         r2 = best[2] / best[1]
         ok = r1 <= 2.2 and r2 <= 2.2
@@ -221,5 +238,8 @@ def test_criterion_9_throughput_scaling(tmp_path, capsys):
             break
     with capsys.disabled():
         _report("criterion 9 (throughput scaling)", ok,
-                f"best times {[round(t, 1) for t in best]}s, ratios {r1:.2f}, {r2:.2f}")
-    assert ok, (best, r1, r2)
+                f"best raw times {[round(t, 1) for t in raw]}s, raw ratios "
+                f"{raw[1] / raw[0]:.2f}, {raw[2] / raw[1]:.2f}; best scaled times "
+                f"{[round(t, 1) for t in best]}s, ratios {r1:.2f}, {r2:.2f}; "
+                f"{attempt + 1} pass(es)")
+    assert ok, (raw, best, r1, r2)
