@@ -375,12 +375,12 @@ class SlidingSuffixTree:
         lives in locals, and each sub-iteration's descent is `canonize`'s,
         run inline on them.
 
-        ``below`` is None, or the node at the far end of the edge that
-        holds the canonical locus, as `_delete_front` returns it; the first
-        sub-iteration then starts from it and does not descend.  The
-        descent remembers the node whose link reaches the child it stops
-        at, so an edge split relinks in O(1); after a dict lookup or a
-        hint, the split scans for that link (`_relink`).
+        ``below`` is None, or the node `canonize` would return now, as
+        `_delete_front` hands it on; when the locus is mid-edge, the first
+        sub-iteration then starts from that node and does not descend.
+        The descent remembers the node whose link reaches the child it
+        stops at, so an edge split relinks in O(1); after a dict lookup or
+        a handed-on node, the split scans for that link (`_relink`).
         """
         head = self.head
         cap = self.capacity
@@ -535,15 +535,15 @@ class SlidingSuffixTree:
         self._delete_front()
 
     def _delete_front(self):
-        """`delete_front`, returning the hint `_append` takes as ``below``.
+        """`delete_front`, returning the node `_append` takes as ``below``.
 
         The deletion canonizes the active point to find out whether the
         locus sits on the departing leaf's edge.  Unless the leaf is then
-        shortened, which moves the locus, the node it found below the locus
-        stays below it: a merge that removes that node, or the node the
-        locus is counted from, leaves the surviving child there instead.
-        So the returned node is the one the next append's first descent
-        would reach, or None when it is not known.
+        shortened, which moves the locus, the node found at or below the
+        locus stays there: when a merge removes that node, or the node the
+        locus is counted from, the surviving child takes its place.  So the
+        returned node is the one `canonize` would return after the
+        deletion, or None after a shortening or when no descent was made.
         """
         tail = self.tail
         if self.head < tail:

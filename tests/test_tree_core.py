@@ -243,6 +243,28 @@ def test_delete_to_empty_and_refill():
     assert checks.audit(tree).sketch == naive_suffix_tree(b"z")
 
 
+@pytest.mark.parametrize("mode", ["plp", "credit"])
+def test_slide_matches_delete_front_then_append(mode):
+    # slide hands the node its deletion found below the locus to the append;
+    # the public calls descend afresh, so the two trees must stay alike
+    for seed in range(1, 81):
+        rng = Lcg(seed)
+        sigma = 1 + (seed - 1) % 4
+        cap = 2 + rng.draw(19)
+        hinted = SlidingSuffixTree(cap, mode=mode)
+        fresh = SlidingSuffixTree(cap, mode=mode)
+        for step in range(6 * cap):
+            sym = 97 + rng.draw(sigma)
+            hinted.slide(sym)
+            if len(fresh) == cap:
+                fresh.delete_front()
+            fresh.append(sym)
+            where = (seed, step)
+            assert hinted.stats() == fresh.stats(), where
+            assert hinted.window_bytes() == fresh.window_bytes(), where
+            assert checks.audit(hinted).violations() == [], where
+
+
 # -- queries -------------------------------------------------------------------
 
 def test_lrs_len_matches_oracle_examples():
