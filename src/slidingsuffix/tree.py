@@ -392,7 +392,8 @@ class SlidingSuffixTree:
         spare_nodes = self._spare_nodes
         ins = self.ins
         proj = self.proj
-        pred = None  # ins if below is ins.first, else the sibling before it; None: unknown
+        # whose link reaches below: ins (by `first`), a sibling, or None if unknown
+        pred = None
         extensions = nodes = leaves = 0
         v = None  # node created/used last sub-iteration, owed a suffix link
         while True:
@@ -578,8 +579,8 @@ class SlidingSuffixTree:
             self.maint.on_leaf_deleting(u, w, merges)
             if merges:
                 # w no longer branches: its one child y takes w's place and
-                # key among x's children; w's own links are cleared below,
-                # so u need not be unlinked from them
+                # key among x's children; w's own links are cleared when it
+                # is recycled, so u need not be unlinked from them
                 y = w.first
                 if y is u:
                     y = u.sibling
