@@ -47,16 +47,13 @@ class CreditMaintenance:
     leaf_class = LeafNode
 
     def __init__(self, tree):
-        self.slots = tree._leaf_slots
-        self.capacity = tree.capacity
+        self.tree = tree
         self.counters = tree.counters
 
     def leaf_for(self, node):
-        """The leaf starting at ``node.lp``: `tree.leaf_at`, read in place."""
-        lp = node.lp
-        leaf = self.slots[(lp - 1) % self.capacity]
-        if leaf is None or leaf.spos != lp:
-            raise InvariantError(f"stored leaf start {lp} went stale")
+        leaf = self.tree.leaf_at(node.lp)
+        if leaf is None:
+            raise InvariantError(f"stored leaf start {node.lp} went stale")
         return leaf
 
     def update(self, v, k):

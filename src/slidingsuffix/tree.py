@@ -67,8 +67,8 @@ A slide descends to the locus once.  The front deletion canonizes it to
 learn whether the locus lies on the departing leaf's edge, and hands the
 node it found below the locus to the append that follows, whose first
 sub-iteration would otherwise descend to the same node (see
-`_delete_front` for when that node stays valid).  The append runs the
-descents of its later sub-iterations inline, on its own locals.
+`_delete_front` for when that node stays valid).  Each later
+sub-iteration of the append descends through `canonize`.
 """
 
 from __future__ import annotations
@@ -309,7 +309,7 @@ class SlidingSuffixTree:
 
     # -- active point -----------------------------------------------------
 
-    def _canonize(self):
+    def canonize(self):
         """Normalize ``(ins, proj)`` and return the node at or below the locus.
 
         Returns ``ins`` itself when the active point rests on a node,
@@ -352,9 +352,6 @@ class SlidingSuffixTree:
         self.proj = proj
         return child
 
-    # the public name; the slide path calls `_canonize`, or descends inline
-    canonize = _canonize
-
     # -- mutation ---------------------------------------------------------
 
     def append(self, sym: Symbol) -> None:
@@ -372,15 +369,12 @@ class SlidingSuffixTree:
         finds the extended suffix already present (and stops) or inserts a
         new leaf, splitting an edge when the locus is mid-edge, then drops
         to the next shorter suffix via a suffix link.  The active point
-        lives in locals, and each sub-iteration's descent is `canonize`'s,
-        run inline on them.
+        lives in locals and is stored back only around `canonize` and at
+        the end.
 
         ``below`` is None, or the node `canonize` would return now, as
         `_delete_front` hands it on; when the locus is mid-edge, the first
         sub-iteration then starts from that node and does not descend.
-        The descent remembers the node whose link reaches the child it
-        stops at, so an edge split relinks in O(1); after a dict lookup or
-        a handed-on node, the split scans for that link (`_relink`).
         """
         head = self.head
         cap = self.capacity
@@ -392,37 +386,16 @@ class SlidingSuffixTree:
         spare_nodes = self._spare_nodes
         ins = self.ins
         proj = self.proj
-        # whose link reaches below: ins (by `first`), a sibling, or None if unknown
-        pred = None
         extensions = nodes = leaves = 0
         v = None  # node created/used last sub-iteration, owed a suffix link
         while True:
             extensions += 1
             if proj and below is None:
-                while True:
-                    key = buf[(head - proj) % cap]
-                    index = ins.index
-                    if index is None:
-                        pred = ins
-                        below = ins.first
-                        while below.key != key:
-                            pred = below
-                            below = below.sibling
-                    else:
-                        pred = None
-                        below = index[key]
-                    if below.first is None:
-                        if proj < head - below.spos + 1 - ins.depth:
-                            break
-                        raise InvariantError(f"active point descends past the end of "
-                                             f"leaf {below.spos}")
-                    edge_len = below.depth - ins.depth
-                    if proj < edge_len:
-                        break
-                    ins = below
-                    proj -= edge_len
-                    if proj == 0:
-                        break
+                self.ins = ins
+                self.proj = proj
+                below = self.canonize()
+                ins = self.ins
+                proj = self.proj
             if proj == 0:
                 # a miss stops at the last child, which the new leaf follows
                 last = None
@@ -469,12 +442,7 @@ class SlidingSuffixTree:
                 else:
                     w = maint.node_class(ins, ins.depth + proj, key)
                 w.sibling = below.sibling
-                if pred is ins:
-                    ins.first = w
-                elif pred is not None:
-                    pred.sibling = w
-                else:
-                    _relink(ins, below, w)
+                _relink(ins, below, w)
                 if ins.index is not None:
                     ins.index[key] = w
                 w.first = last = below
@@ -549,7 +517,7 @@ class SlidingSuffixTree:
         tail = self.tail
         if self.head < tail:
             raise ValueError("window is empty")
-        below = self._canonize() if self.proj else None
+        below = self.canonize() if self.proj else None
         cap = self.capacity
         slots = self._leaf_slots
         slot = (tail - 1) % cap
