@@ -509,6 +509,22 @@ def test_recycled_objects_reach_the_hook_as_if_new(mode):
     assert reused_leaves > 10_000 and reused_nodes > 10_000
 
 
+@pytest.mark.parametrize("mode", ["plp", "credit"])
+def test_constructors_reset_every_slot_of_a_recycled_object(mode):
+    # a spare is reset by running its class's constructor again, so each
+    # constructor must assign every slot over the MRO; one it leaves out
+    # would keep the value the object held before
+    maint = type(SlidingSuffixTree(1, mode=mode).maint)
+    for cls in (maint.node_class, maint.leaf_class):
+        fresh = cls(None, 3, 97)
+        used = cls.__new__(cls)
+        for name in _slots(cls):
+            setattr(used, name, object())  # a stale value no constructor gives
+        used.__init__(None, 3, 97)
+        # an unset slot fails the read, a stale one the comparison
+        assert _fields(used, ()) == _fields(fresh, ()), cls
+
+
 def test_each_mode_owns_its_node_fields():
     # the shared classes hold the tree's shape; each mode's pointer fields
     # are on its own classes, and no object carries the other mode's
