@@ -23,7 +23,8 @@ class CreditNode(InternalNode):
     __slots__ = ("cred", "lp")
 
     def __init__(self, parent, depth, key=None):
-        # the shared fields as in `InternalNode.__init__`: one call per node
+        # sets every slot, the shared ones as in `InternalNode.__init__`: building a
+        # node is one call, and a recycled one keeps no stale field
         self.parent = parent
         self.first = None
         self.sibling = None

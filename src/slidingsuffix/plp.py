@@ -31,8 +31,8 @@ class PlpNode(InternalNode):
     __slots__ = ("prim", "plp")
 
     def __init__(self, parent, depth, key=None):
-        # every field is assigned here, the shared ones as in
-        # `InternalNode.__init__`, so building a node is one call
+        # sets every slot, the shared ones as in `InternalNode.__init__`: building a
+        # node is one call, and a recycled one keeps no stale field
         self.parent = parent
         self.first = None
         self.sibling = None
@@ -48,7 +48,8 @@ class PlpLeaf(LeafNode):
     __slots__ = ("prim", "plp_inv")
 
     def __init__(self, parent, spos, key=None):
-        # the shared fields as in `LeafNode.__init__`: one call per leaf
+        # sets every slot, the shared ones as in `LeafNode.__init__`: building a
+        # leaf is one call, and a recycled one keeps no stale field
         self.parent = parent
         self.sibling = None
         self.key = key
