@@ -67,7 +67,8 @@ class Audit:
       against the oracle, and the lrs length against the oracle's;
     * ``freshness``: every edge's derived index pair lies inside the window
       together with the parent's string in front of it;
-    * ``pointers``: plp flags and pointers, or credit pointer liveness;
+    * ``pointers``: plp pointers and the paths they encode, or credit
+      pointer liveness;
     * ``counters``: the per-event write bound and the linear-churn bound.
     """
 
@@ -96,9 +97,13 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
     descends below it, with the strings there left unknown, so the
     pointer checks cover the whole tree.
 
-    In plp mode the walk carries down the secondary node heading the
-    current primary path, so each primary leaf is checked against the one
-    node whose pointer must target it.  In credit mode each stored leaf
+    In plp mode primary-ness is read from the pointers: a node is primary
+    when it holds no pointer, a leaf when it holds an inverse pointer.  The
+    walk carries down the secondary node heading the current primary path,
+    so each primary leaf is checked against the one node whose pointer
+    must target it; each node with children must have exactly one primary
+    child, and path heads and primary leaves must pair up one to one.  In
+    credit mode each stored leaf
     must lie inside the node's subtree: leaves are ranked in walk order,
     and a marker pushed under a node's children compares the rank once
     the subtree is done.
@@ -119,7 +124,7 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
     leaf_rank = {}        # credit mode: leaf -> rank in walk order
     heads = prim_leaves = 0
     if plp:
-        if root.prim:
+        if root.plp is None:
             pointers.append("root must stay secondary")
         if root.first is None and root.plp is not root:
             pointers.append("empty root must point at itself")
@@ -146,7 +151,7 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
         if node is not root and len(children) < 2:
             structure.append(f"non-root {_name(node)} has {len(children)} children")
         if plp:
-            if children and (node is root or not node.prim):
+            if children and (node is root or node.plp is not None):
                 heads += 1
         elif children:
             if node.lp < tail:
@@ -163,7 +168,8 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
                 structure.append(f"parent link broken at {_name(child)}")
             if not plp:
                 child_top = None
-            elif child.prim:
+            elif (child.plp is None if child.first is not None
+                  else child.plp_inv is not None):
                 prim_children += 1
                 child_top = top
             else:
@@ -204,15 +210,13 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
                 structure.append(f"leaf slot lookup broken for spos {spos}")
             if not plp:
                 leaf_rank[child] = len(leaf_rank)
-            elif child.prim:
+            elif child.plp_inv is not None:
                 prim_leaves += 1
                 if top.plp is not child:
                     pointers.append(f"pointer of {_name(top)} misses its primary path end")
                     pointers.append(f"primary {_name(child)} has no pointer aimed at it")
                 if child.plp_inv is not top:
                     pointers.append(f"stale inverse pointer on {_name(child)}")
-            elif child.plp_inv is not None:
-                pointers.append(f"secondary {_name(child)} carries an inverse pointer")
         if plp and children and prim_children != 1:
             pointers.append(f"{_name(node)} has {prim_children} primary children")
     if plp and heads != prim_leaves:

@@ -7,19 +7,25 @@ node stores that leaf as its pointer.  Secondary leaves point at themselves
 (kept implicit, no field).  The primary edges therefore decompose the tree
 into disjoint paths, one per leaf, which is what makes every repair local:
 a single leaf insertion or deletion disturbs at most one path, so at most a
-handful of flag/pointer writes restore the invariants.
+handful of pointer writes restore the invariants.
 
-Each leaf also records the secondary node whose pointer targets it
-(``plp_inv``), so the one pointer that must be rewired on a primary-leaf
-deletion is found in O(1); any other child of the leaf's parent may take
-over its path, and the first one at hand does, so every hook reads and
-writes O(1) nodes whatever the fan-out.  The root needs no case of its own:
-it is the secondary node at the top of its path, the leaf ending that path
-names it in ``plp_inv``, and on an empty tree it points at itself.
+Each leaf at the end of a primary path records the secondary node whose
+pointer targets it (``plp_inv``), so the one pointer that must be rewired
+on a primary-leaf deletion is found in O(1); any other child of the leaf's
+parent may take over its path, and the first one at hand does, so every
+hook reads and writes O(1) nodes whatever the fan-out.  The root needs no
+case of its own: it is the secondary node at the top of its path, the leaf
+ending that path names it in ``plp_inv``, and on an empty tree it points at
+itself.
 
-These fields are the mode's own: `PlpNode` adds ``prim`` and ``plp`` to the
-tree's internal node, and `PlpLeaf` adds ``prim`` and ``plp_inv`` to its
-leaf.  Both start secondary and pointing nowhere.
+Primary-ness is not stored apart: the pointers carry it.  An internal node
+is primary exactly when it holds no pointer (``plp is None``); the root
+always holds one.  A leaf is primary exactly when it holds an inverse
+pointer (``plp_inv is not None``).  So `PlpNode` adds only ``plp`` to the
+tree's internal node and `PlpLeaf` only ``plp_inv`` to its leaf, and a
+node or leaf starts primary and secondary respectively, until the
+insertion hook of the event that attaches it decides.  Both classes offer
+``prim`` as a read-only property, for tests and tools.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .tree import InternalNode, LeafNode
 
 
 class PlpNode(InternalNode):
-    __slots__ = ("prim", "plp")
+    __slots__ = ("plp",)
 
     def __init__(self, parent, depth, key=None):
         # sets every slot, the shared ones as in `InternalNode.__init__`: building a
@@ -40,12 +46,16 @@ class PlpNode(InternalNode):
         self.index = None
         self.suffix_link = None
         self.depth = depth
-        self.prim = False
-        self.plp = None       # leaf reached along primary edges; secondary nodes only
+        self.plp = None       # leaf reached along primary edges; None on a primary node
+
+    @property
+    def prim(self) -> bool:
+        """Whether the node is primary: it holds no pointer."""
+        return self.plp is None
 
 
 class PlpLeaf(LeafNode):
-    __slots__ = ("prim", "plp_inv")
+    __slots__ = ("plp_inv",)
 
     def __init__(self, parent, spos, key=None):
         # sets every slot, the shared ones as in `LeafNode.__init__`: building a
@@ -54,8 +64,12 @@ class PlpLeaf(LeafNode):
         self.sibling = None
         self.key = key
         self.spos = spos
-        self.prim = False
-        self.plp_inv = None   # secondary node whose pointer targets this leaf
+        self.plp_inv = None   # head of the path this leaf ends; None on a secondary leaf
+
+    @property
+    def prim(self) -> bool:
+        """Whether the leaf is primary: it holds an inverse pointer."""
+        return self.plp_inv is not None
 
 
 class PlpMaintenance:
@@ -74,6 +88,9 @@ class PlpMaintenance:
 
     def __init__(self, tree):
         self.counters = tree.counters
+        # the class the hooks test leafness against, read from the instance:
+        # faster than a class attribute, and the class the tree builds from
+        self.leaf_class = self.leaf_class
         tree.root.plp = tree.root  # empty-tree sentinel; the root stays secondary
 
     # -- queries -----------------------------------------------------------
@@ -83,17 +100,25 @@ class PlpMaintenance:
 
         Secondary nodes answer from their stored pointer.  A primary
         internal node is never the first node of a primary path, but it
-        branches, so some child is secondary and that child's pointer (or
-        the child itself, if a leaf) answers.  At most one child is
+        branches, so some child is secondary, and that child answers: a
+        leaf itself, a node from its pointer.  At most one child is
         primary, so the first child or its sibling is a secondary one.  On
         an empty tree the root returns itself.
         """
-        if not node.prim:
-            return node.plp
+        v = node.plp
+        if v is not None:
+            return v
+        leaf = self.leaf_class
         y = node.first
-        if y.prim:
-            y = y.sibling
-        return y if y.first is None else y.plp
+        if type(y) is leaf:
+            if y.plp_inv is None:
+                return y
+        else:
+            v = y.plp
+            if v is not None:
+                return v
+        y = y.sibling
+        return y if type(y) is leaf else y.plp
 
     # -- leaf events ---------------------------------------------------------
 
@@ -102,8 +127,8 @@ class PlpMaintenance:
 
         ``split_child`` is the old child that was pushed below w when w was
         created by splitting an edge (None when w already existed).  The new
-        leaf, and a new w, start secondary and pointing nowhere, so only the
-        fields that must differ from that are written, and the count is
+        leaf starts secondary and a new w primary, so only a new path needs
+        writes: w's pointer to u and u's inverse pointer, 2.  The count is
         exactly the writes made.
         """
         if split_child is None:
@@ -112,26 +137,19 @@ class PlpMaintenance:
                 return
             # w had no child, which only happens at the root: u starts the
             # root's primary path
-            u.prim = True
-            w.plp = u
-            u.plp_inv = w
-            n = 3
-        elif split_child.prim:
-            # w landed on a primary path; it joins that path and the new
-            # leaf starts its own
-            w.prim = True
-            n = 1
-        else:
-            # w heads a new path ending at the new leaf; the old child keeps
-            # its own
-            u.prim = True
-            w.plp = u
-            u.plp_inv = w
-            n = 3
+        elif (split_child.plp_inv is not None if type(split_child) is self.leaf_class
+              else split_child.plp is None):
+            # w landed on a primary path and joins it as it was built; the
+            # new leaf starts its own
+            return
+        # w heads a new path ending at the new leaf (a split-off secondary
+        # child keeps its own)
+        w.plp = u
+        u.plp_inv = w
         c = self.counters
-        c.plp_field_writes_total += n
-        if n > c.plp_field_writes_max_event:
-            c.plp_field_writes_max_event = n
+        c.plp_field_writes_total += 2
+        if 2 > c.plp_field_writes_max_event:
+            c.plp_field_writes_max_event = 2
 
     def on_leaf_deleting(self, u, w, merges):
         """Restore the invariants before leaf u detaches from w.
@@ -141,48 +159,50 @@ class PlpMaintenance:
         case analysis here.  The root is an ordinary secondary node that
         never merges: its primary leaf's ``plp_inv`` names it like any other
         path head.  The child y promoted in u's place, or left by a merge,
-        is w's first child other than u: one sibling read at most.  Every
-        write changes a field, so the count is exactly the writes made.
+        is w's first child other than u: one sibling read at most.  A
+        promotion writes 2 fields for a leaf y and 3 for a node, a merge 1
+        or 2.  Every write changes a field, so the count is exactly the
+        writes made.
         """
         y = w.first
         if y is u:
             y = u.sibling  # None when u is w's only child
-        merges = merges and not w.prim  # a primary w's path goes on through y
-        if u.prim:
+        merges = merges and w.plp is not None  # a primary w's path goes on through y
+        z = u.plp_inv
+        if z is not None:
             if merges:
                 # w is secondary with two children: the path started at w,
                 # and both w and u disappear together
                 return
-            z = u.plp_inv
             if y is None:
                 # only the root loses its last child: it points at itself
                 z.plp = z
                 n = 1
-            else:
+            elif type(y) is self.leaf_class:
                 # the path through u survives above w (or above the merged
-                # edge): reroute it through the promoted sibling y
-                v = y if y.first is None else y.plp
-                y.prim = True
+                # edge): reroute it to end at the promoted leaf y
+                z.plp = y
+                y.plp_inv = z
+                n = 2
+            else:
+                # likewise through the promoted node y, whose own path it
+                # takes over and which stops being a path head
+                v = y.plp
+                y.plp = None
                 z.plp = v
                 v.plp_inv = z
                 n = 3
         elif merges:
             # w merges away and its path must restart at the surviving
             # child, which had been primary
-            y.prim = False
-            if y.first is None:
+            if type(y) is self.leaf_class:
                 y.plp_inv = None  # a secondary leaf points at itself
-                n = 2
+                n = 1
             else:
-                # y may still hold, from an earlier time as a path head,
-                # the pointer it is given; then that write is not made
                 v = w.plp
                 v.plp_inv = y
-                if y.plp is v:
-                    n = 2
-                else:
-                    y.plp = v
-                    n = 3
+                y.plp = v
+                n = 2
         else:
             # a secondary leaf under a parent that survives (the root
             # always does) takes only its own path with it

@@ -123,7 +123,7 @@ def spare_problems(tree) -> list:
         if node.first is not None:
             reachable += (node.index or {}).values()
             reachable.append(node.suffix_link)
-            if tree.mode == "plp" and not node.prim:
+            if tree.mode == "plp" and node.plp is not None:
                 reachable.append(node.plp)
     reachable += tree._leaf_slots
     for obj in reachable:

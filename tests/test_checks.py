@@ -75,9 +75,20 @@ def test_sound_trees_have_nodes_of_every_kind():
 
 
 def test_flipped_prim_is_a_pointer_finding():
+    # primary-ness is stored in the pointers, so a flip rewrites one: a
+    # secondary node (the root too) loses its pointer, a primary node gets
+    # one, a primary leaf loses its inverse pointer, a secondary leaf gets one
     tree = sound_tree("plp")
+    flipped = set()
     for node in tree.iter_nodes():
-        assert_reported(tree, "pointers", node, "prim", not node.prim)
+        prim = node.prim
+        if isinstance(node, LeafNode):
+            field, value = "plp_inv", None if prim else node.parent
+        else:
+            field, value = "plp", tree.leafptr(node) if prim else None
+        flipped.add((field, prim))
+        assert_reported(tree, "pointers", node, field, value)
+    assert len(flipped) == 4
 
 
 def test_nulled_or_redirected_inverse_pointer_is_a_pointer_finding():

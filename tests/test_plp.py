@@ -258,7 +258,9 @@ def test_fresh_pairs_strongly_fresh_over_sliding_runs(stream, cap):
 # -- cost bound ----------------------------------------------------------------------
 
 ABSENT = object()  # a field the node's class does not have, or never set
-PLP_FIELDS = ("prim", "plp", "plp_inv")
+# the stored fields only: ``prim`` is derived from them, so reading it as
+# well would count each write that flips it twice
+PLP_FIELDS = ("plp", "plp_inv")
 
 
 def plp_fields(tree):
@@ -274,12 +276,14 @@ class WriteObserver:
     before and after, and counts the values that changed: the writes the
     call really made.  The call's own count is its change to
     ``plp_field_writes_total``.  Each call must declare exactly what it
-    changes, and at most 4.
+    changes, and at most 4.  ``max_by_hook`` keeps the most writes
+    observed in one call of each hook.
     """
 
     def __init__(self, *trees):
         self.calls = self.observed = self.declared = 0
         self.max_observed = self.max_declared = 0
+        self.max_by_hook = {}
         for tree in trees:
             self.watch(tree)
 
@@ -306,6 +310,8 @@ class WriteObserver:
             self.declared += declared
             self.max_observed = max(self.max_observed, observed)
             self.max_declared = max(self.max_declared, declared)
+            name = hook.__name__
+            self.max_by_hook[name] = max(self.max_by_hook.get(name, 0), observed)
 
         return observed_hook
 
@@ -333,6 +339,9 @@ def test_seeded_streams_observe_at_most_four_writes_per_event():
     assert obs.calls > 35_000
     assert 0 < obs.observed == obs.declared
     assert (obs.max_observed, obs.max_declared) == (3, 3)
+    # a new path costs 2 writes, a node promoted onto a path 3
+    assert obs.max_by_hook["on_leaf_inserted"] <= 2
+    assert obs.max_by_hook["on_leaf_deleting"] <= 3
 
 
 @pytest.mark.parametrize("n", [10, 100])
@@ -343,11 +352,12 @@ def test_worst_case_events_observe_at_most_four_writes(n):
     obs = WriteObserver(tree)
     tree.append("c")
     assert (obs.calls, obs.observed, obs.declared) == (n, 0, 0)
-    # deleting the primary leaf of a^n b reroutes the root's path: 3 writes
+    # deleting the primary leaf of a^n b reroutes the root's path to end
+    # at the leaf promoted in its place: 2 writes
     tree = build_deletion_worstcase(n, "plp")
     obs = WriteObserver(tree)
     tree.delete_front()
-    assert (obs.calls, obs.observed, obs.declared) == (1, 3, 3)
+    assert (obs.calls, obs.observed, obs.declared) == (1, 2, 2)
 
 
 def test_benchmark_observer_sees_the_plp_pointer_fields():

@@ -539,8 +539,8 @@ def test_each_mode_owns_its_node_fields():
         assert any(n.children is None for n in live) and len(live) > 10
         for node in live:
             slots = set(_slots(type(node)))
-            assert len(slots) == (9 if node.children is not None
-                                  else 4 if tree is credit else 6), node
+            assert len(slots) == ((9 if tree is credit else 8) if node.children is not None
+                                  else 4 if tree is credit else 5), node
             assert not slots & (plp_fields if tree is credit else credit_fields), node
 
 
