@@ -18,8 +18,8 @@ TOPOLOGY = {
                     leaves_created=19978, leaves_deleted=18982),
 }
 MAINTENANCE = {
-    ("plp", 2, 64): dict(plp_field_writes_total=75902, plp_field_writes_max_event=3),
-    ("plp", 4, 1000): dict(plp_field_writes_total=59702, plp_field_writes_max_event=3),
+    ("plp", 2, 64): dict(plp_field_writes_total=43864, plp_field_writes_max_event=3),
+    ("plp", 4, 1000): dict(plp_field_writes_total=37300, plp_field_writes_max_event=3),
     ("credit", 2, 64): dict(credit_update_calls_total=53086,
                             credit_update_calls_max_event=11),
     ("credit", 4, 1000): dict(credit_update_calls_total=47527,
