@@ -88,9 +88,6 @@ class PlpMaintenance:
 
     def __init__(self, tree):
         self.counters = tree.counters
-        # the class the hooks test leafness against, read from the instance:
-        # faster than a class attribute, and the class the tree builds from
-        self.leaf_class = self.leaf_class
         tree.root.plp = tree.root  # empty-tree sentinel; the root stays secondary
 
     # -- queries -----------------------------------------------------------
@@ -108,9 +105,8 @@ class PlpMaintenance:
         v = node.plp
         if v is not None:
             return v
-        leaf = self.leaf_class
         y = node.first
-        if type(y) is leaf:
+        if y.first is None:
             if y.plp_inv is None:
                 return y
         else:
@@ -118,7 +114,7 @@ class PlpMaintenance:
             if v is not None:
                 return v
         y = y.sibling
-        return y if type(y) is leaf else y.plp
+        return y if y.first is None else y.plp
 
     # -- leaf events ---------------------------------------------------------
 
@@ -137,7 +133,7 @@ class PlpMaintenance:
                 return
             # w had no child, which only happens at the root: u starts the
             # root's primary path
-        elif (split_child.plp_inv is not None if type(split_child) is self.leaf_class
+        elif (split_child.plp_inv is not None if split_child.first is None
               else split_child.plp is None):
             # w landed on a primary path and joins it as it was built; the
             # new leaf starts its own
@@ -178,7 +174,7 @@ class PlpMaintenance:
                 # only the root loses its last child: it points at itself
                 z.plp = z
                 n = 1
-            elif type(y) is self.leaf_class:
+            elif y.first is None:
                 # the path through u survives above w (or above the merged
                 # edge): reroute it to end at the promoted leaf y
                 z.plp = y
@@ -195,7 +191,7 @@ class PlpMaintenance:
         elif merges:
             # w merges away and its path must restart at the surviving
             # child, which had been primary
-            if type(y) is self.leaf_class:
+            if y.first is None:
                 y.plp_inv = None  # a secondary leaf points at itself
                 n = 1
             else:
