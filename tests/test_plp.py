@@ -374,12 +374,22 @@ def test_benchmark_observer_sees_the_plp_pointer_fields():
         tree.extend(data)
     assert obs.events > len(data) // 2
     assert 0 < obs.max_event <= expect.PLP_BOUND
-    tree = SlidingSuffixTree(8)
-    tree.append("a")
-    obs = expect.WriteObserver(tree, drop_field="plp_inv")
-    with obs.installed():
-        for sym in data:
-            tree.slide(sym)
-            if obs.dropped:
+    # each value-changing write to either field carries part of the path
+    # encoding, primary-ness included, so dropping any one of the stream's
+    # writes leaves a pointer finding
+    for field in ("plp_inv", "plp"):
+        nth = 1
+        while True:
+            tree = SlidingSuffixTree(8)
+            tree.append("a")
+            obs = expect.WriteObserver(tree, drop_field=field, drop_nth=nth)
+            with obs.installed():
+                for sym in data:
+                    tree.slide(sym)
+                    if obs.dropped:
+                        break
+            if not obs.dropped:
                 break
-    assert obs.dropped and checks.audit(tree).pointers
+            assert checks.audit(tree).pointers, (field, nth)
+            nth += 1
+        assert nth > 4, (field, nth)
