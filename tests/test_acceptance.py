@@ -10,7 +10,6 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import gc
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -24,6 +23,7 @@ from conftest import load_perfbench
 
 SEEDS = 1000
 WORSTCASE_SIZES = (10, 100, 1000)
+LEG_CHUNK = 500_000  # criterion 9: bytes slid between two host-speed samples
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -186,15 +186,17 @@ def test_criterion_9_throughput_scaling(tmp_path, capsys):
 
     The host's speed for the same Python code drifts by tens of percent
     over the length of a leg, so each leg is scored by its time scaled to
-    the benchmark's nominal host speed: the wall time multiplied by the
-    speed that `perfbench/speed.py`'s probe measures just before and just
-    after the leg (their geometric mean), divided by its nominal speed.
-    Outside interference can only inflate a time, so each size is scored
-    by its minimum over up to three passes (stopping as soon as the bound
-    holds); the algorithmic scaling itself is deterministic.  The passes
-    run the legs in alternating order (small to large, then large to
-    small), so a drift that the probe misses reaches both sides of each
-    ratio."""
+    the benchmark's nominal host speed.  A leg slides its file through one
+    tree in `LEG_CHUNK`-byte chunks, and `perfbench/speed.py`'s probe is
+    sampled before the first chunk and after each one; each chunk's wall
+    time is multiplied by the geometric mean of the samples on either side
+    of it and divided by the nominal speed, and the leg's scaled time is
+    the sum.  Outside interference can only inflate a time, so each size
+    is scored by its minimum over up to three passes (stopping as soon as
+    the bound holds); the algorithmic scaling itself is deterministic.
+    The passes run the legs in alternating order (small to large, then
+    large to small), so a drift that the probe misses reaches both sides
+    of each ratio."""
     speed = load_perfbench("speed")
     probe = speed.SpeedProbe()
     rng = Lcg(2024)
@@ -208,22 +210,29 @@ def test_criterion_9_throughput_scaling(tmp_path, capsys):
 
     def measure(path):
         """(wall s, wall s scaled to the nominal host speed) of one leg."""
+        gc.collect()  # the last leg's tree, outside the timed region
+        tree = SlidingSuffixTree(65536, mode="plp")
+        elapsed = scaled = 0.0
         probe.sample()
-        code = cli_main(["stream", str(path), "--window", "65536", "--mode", "plp"])
-        probe.sample()
-        captured = capsys.readouterr().out.strip().splitlines()[-1]
-        assert code == 0
-        elapsed = json.loads(captured)["elapsed_s"]
-        host = (probe.samples[-2] * probe.samples[-1]) ** 0.5
-        return elapsed, elapsed * host / speed.NOMINAL
+        with open(path, "rb") as fh:
+            while chunk := fh.read(LEG_CHUNK):
+                start = time.perf_counter()
+                tree.extend(chunk)
+                dt = time.perf_counter() - start
+                probe.sample()
+                elapsed += dt
+                scaled += dt * (probe.samples[-2] * probe.samples[-1]) ** 0.5 / speed.NOMINAL
+        assert tree.head == path.stat().st_size and len(tree) == 65536
+        return elapsed, scaled
 
-    # warm caches and the allocator before the timed legs
+    # warm caches and the allocator before the timed legs, through the CLI
     warm = tmp_path / "warmup.bin"
     warm.write_bytes(data[:500_000])
-    measure(warm)
+    code = cli_main(["stream", str(warm), "--window", "65536", "--mode", "plp"])
+    capsys.readouterr()
+    assert code == 0
     raw = best = None
     for attempt in range(3):
-        gc.collect()
         times = [None] * len(paths)
         for i in (range(len(paths)) if attempt % 2 == 0 else reversed(range(len(paths)))):
             times[i] = measure(paths[i])
