@@ -103,10 +103,9 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
     so each primary leaf is checked against the one node whose pointer
     must target it; each node with children must have exactly one primary
     child, and path heads and primary leaves must pair up one to one.  In
-    credit mode each stored leaf
-    must lie inside the node's subtree: leaves are ranked in walk order,
-    and a marker pushed under a node's children compares the rank once
-    the subtree is done.
+    credit mode each stored leaf must lie inside the node's subtree: leaves
+    are ranked in walk order, and a marker pushed under a node's children
+    compares the rank once the subtree is done.
     """
     tail = tree.tail
     head = tree.head
