@@ -23,8 +23,8 @@ class CreditNode(InternalNode):
     __slots__ = ("cred", "lp")
 
     def __init__(self, parent, depth, key=None):
-        # sets every slot, the shared ones as in `InternalNode.__init__`: building a
-        # node is one call, and a recycled one keeps no stale field
+        # sets every slot, the shared ones too: building a node is one
+        # call, and a recycled one keeps no stale field
         self.parent = parent
         self.first = None
         self.sibling = None

@@ -24,8 +24,7 @@ always holds one.  A leaf is primary exactly when it holds an inverse
 pointer (``plp_inv is not None``).  So `PlpNode` adds only ``plp`` to the
 tree's internal node and `PlpLeaf` only ``plp_inv`` to its leaf, and a
 node or leaf starts primary and secondary respectively, until the
-insertion hook of the event that attaches it decides.  Both classes offer
-``prim`` as a read-only property, for tests and tools.
+insertion hook of the event that attaches it decides.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ class PlpNode(InternalNode):
     __slots__ = ("plp",)
 
     def __init__(self, parent, depth, key=None):
-        # sets every slot, the shared ones as in `InternalNode.__init__`: building a
-        # node is one call, and a recycled one keeps no stale field
+        # sets every slot, the shared ones too: building a node is one
+        # call, and a recycled one keeps no stale field
         self.parent = parent
         self.first = None
         self.sibling = None
@@ -47,11 +46,6 @@ class PlpNode(InternalNode):
         self.suffix_link = None
         self.depth = depth
         self.plp = None       # leaf reached along primary edges; None on a primary node
-
-    @property
-    def prim(self) -> bool:
-        """Whether the node is primary: it holds no pointer."""
-        return self.plp is None
 
 
 class PlpLeaf(LeafNode):
@@ -65,11 +59,6 @@ class PlpLeaf(LeafNode):
         self.key = key
         self.spos = spos
         self.plp_inv = None   # head of the path this leaf ends; None on a secondary leaf
-
-    @property
-    def prim(self) -> bool:
-        """Whether the leaf is primary: it holds an inverse pointer."""
-        return self.plp_inv is not None
 
 
 class PlpMaintenance:

@@ -20,7 +20,8 @@ so the root, and a node once it has more than `WIDE` children, also keeps
 ``index``, a ``{key: child}`` dict in sibling order that lookups use in
 place of the scan; every other node's ``index`` is None.  A node keeps its
 index until it merges away.  ``InternalNode.children`` builds a
-``{key: child}`` view of any node on demand; no slide or query reads it.
+``{key: child}`` dict of any node on demand; a slide reads it only to build
+the index of a node that has just grown wide, and no query reads it.
 
 The tree owns the window's ring buffer.  Positions are absolute and 1-based:
 the k-th symbol ever appended lives at position k until `delete_front`
@@ -44,11 +45,10 @@ names as ``node_class`` and ``leaf_class``; the tree builds its root,
 split nodes and leaves from those two classes.
 
 Departed objects are recycled.  `delete_front` puts each leaf it detaches
-and each node it merges away on a spare list, unlinked, and `append` takes
+and each node it merges away on a spare list, unlinked, and `slide` takes
 an object from the list when one is there and resets it by running its
-constructor again: the base constructor resets the shape and the mode's
-constructor the mode's fields.  It constructs a new object only when the
-list is empty.
+constructor again, which sets every slot.  It constructs a new object only
+when the list is empty.
 So the leaves ever constructed number the peak of live leaves, and live
 plus spare leaves equal that peak at every moment; the same holds for
 internal nodes.  Both peaks are at most ``capacity``, so space stays O(W)
@@ -63,17 +63,17 @@ normalized lazily by `canonize`.  Because the tracked locus is always a
 suffix of the window, the first symbol of the edge below ``ins`` is the
 window symbol at ``head - proj + 1``.
 
-A slide descends to the locus once.  The front deletion canonizes it to
-learn whether the locus lies on the departing leaf's edge, and hands the
-node it found below the locus to the append that follows, whose first
-sub-iteration would otherwise descend to the same node (see
-`_delete_front` for when that node stays valid).  Each later
-sub-iteration of the append descends through `canonize`.
+A slide descends to the locus once.  `delete_front` canonizes it to learn
+whether the locus lies on the departing leaf's edge, and returns the node
+it found below the locus (see `delete_front` for when that node stays
+valid).  `slide` hands that node to the first sub-iteration of its append
+phase, which would otherwise descend to the same node.  Each later
+sub-iteration descends through `canonize`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 MODES = ("plp", "credit")
@@ -121,20 +121,12 @@ class InvariantError(AssertionError):
 class InternalNode:
     """Branching node; its children are ``first`` and that child's siblings.
 
-    Each mode subclasses it with the pointer fields it keeps.
+    Each mode subclasses it with the pointer fields it keeps, and the
+    subclass's constructor sets every slot.
     """
 
     __slots__ = ("parent", "first", "sibling", "key", "index", "suffix_link",
                  "depth")
-
-    def __init__(self, parent, depth, key=None):
-        self.parent = parent
-        self.first = None
-        self.sibling = None
-        self.key = key
-        self.index = None     # {key: child} of a wide node, else None
-        self.suffix_link = None
-        self.depth = depth
 
     @property
     def children(self) -> dict:
@@ -214,9 +206,6 @@ class Counters:
     def churn(self) -> int:
         return (self.nodes_created + self.nodes_deleted
                 + self.leaves_created + self.leaves_deleted)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 class SlidingSuffixTree:
@@ -305,7 +294,7 @@ class SlidingSuffixTree:
         return k + parent.depth, k + node.depth - 1
 
     def stats(self) -> dict:
-        return self.counters.as_dict()
+        return asdict(self.counters)
 
     # -- active point -----------------------------------------------------
 
@@ -356,28 +345,118 @@ class SlidingSuffixTree:
 
     def append(self, sym: Symbol) -> None:
         """Extend the window by one symbol, updating the tree online."""
-        if type(sym) is not int or not 0 <= sym <= 255:
-            sym = as_symbol(sym)
+        sym = as_symbol(sym)
         if self.head - self.tail + 1 >= self.capacity:
             raise ValueError("window is full; delete_front before appending")
-        self._append(sym, None)
+        self.slide(sym)
 
-    def _append(self, sym: int, below) -> None:
-        """`append` of a checked symbol into a window with room for it.
+    def delete_front(self):
+        """Remove the oldest window symbol, updating the tree online.
 
-        Runs sub-iterations from the current active point: each one either
-        finds the extended suffix already present (and stops) or inserts a
-        new leaf, splitting an edge when the locus is mid-edge, then drops
-        to the next shorter suffix via a suffix link.  The active point
-        lives in locals and is stored back only around `canonize` and at
-        the end.
+        When the longest repeating suffix sits on the edge of the departing
+        leaf, the leaf is shortened in place (its start index moves to the
+        rightmost occurrence) and the active point drops one symbol.
+        Otherwise the leaf is detached and, if its parent is left
+        non-branching, the two surrounding edges merge.  The detached leaf
+        and the merged node go on the spare lists that `slide` draws from;
+        a shortened leaf keeps its place in the tree.
 
-        ``below`` is None, or the node `canonize` would return now, as
-        `_delete_front` hands it on; when the locus is mid-edge, the first
-        sub-iteration then starts from that node and does not descend.
+        Returns the node `canonize` would return after the deletion, or
+        None.  The deletion canonizes the active point to find out whether
+        the locus sits on the departing leaf's edge.  Unless the leaf is
+        then shortened, which moves the locus, the node found at or below
+        the locus stays there: when a merge removes that node, or the node
+        the locus is counted from, the surviving child takes its place.
+        None comes back after a shortening or when no descent was made.
         """
-        head = self.head
+        tail = self.tail
+        if self.head < tail:
+            raise ValueError("window is empty")
+        below = self.canonize() if self.proj else None
         cap = self.capacity
+        slots = self._leaf_slots
+        slot = (tail - 1) % cap
+        u = slots[slot]
+        w = u.parent
+        if u is below:
+            # the departing prefix and the repeating suffix share this edge:
+            # move the leaf, keeping its identity, to the lrs occurrence
+            ins = self.ins
+            new_spos = self.head - (ins.depth + self.proj) + 1
+            new_slot = (new_spos - 1) % cap
+            if slots[new_slot] is not None:
+                raise InvariantError(f"leaf slot of start {new_spos} is taken")
+            slots[slot] = None
+            slots[new_slot] = u
+            u.spos = new_spos
+            if self.maint.on_leaf_shortened is not None:
+                self.maint.on_leaf_shortened(u, w)
+            if ins is self.root:
+                self.proj -= 1
+            else:
+                self.ins = ins.suffix_link
+            below = None
+        else:
+            # a non-root node merges away when u is one of its two children
+            merges = w is not self.root and w.first.sibling.sibling is None
+            self.maint.on_leaf_deleting(u, w, merges)
+            if merges:
+                # w no longer branches: its one child y takes w's place and
+                # key among x's children; w's own links are cleared when it
+                # is recycled, so u need not be unlinked from them
+                y = w.first
+                if y is u:
+                    y = u.sibling
+                x = w.parent
+                if self.ins is w:
+                    # the locus representation counted from w; re-anchor it
+                    self.proj += w.depth - x.depth
+                    self.ins = x
+                    below = y
+                elif below is w:
+                    below = y
+                y.key = w.key
+                y.sibling = w.sibling
+                _relink(x, w, y)
+                if x.index is not None:
+                    x.index[y.key] = y
+                y.parent = x
+                # every live reference into w was repaired above; the spare
+                # keeps no place in the tree, and `slide` resets the rest
+                w.first = w.sibling = w.index = None
+                w.parent = None
+                self._spare_nodes.append(w)
+                self.counters.nodes_deleted += 1
+            else:
+                _relink(w, u, u.sibling)
+                if w.index is not None:
+                    del w.index[u.key]
+            u.sibling = None
+            slots[slot] = None
+            u.parent = None
+            self._spare_leaves.append(u)
+            self.counters.leaves_deleted += 1
+        self.tail = tail + 1
+        return below
+
+    def slide(self, sym: Symbol) -> None:
+        """Append, first deleting the front symbol if the window is full;
+        a symbol `append` would refuse is refused before the deletion.
+
+        The append is one phase of Ukkonen's construction.  It runs
+        sub-iterations from the current active point: each one either finds
+        the extended suffix already present (and stops) or inserts a new
+        leaf, splitting an edge when the locus is mid-edge, then drops to
+        the next shorter suffix via a suffix link.  The active point lives
+        in locals and is stored back only around `canonize` and at the end.
+        When the deletion returns the node below a mid-edge locus, the
+        first sub-iteration starts from that node and does not descend.
+        """
+        if type(sym) is not int or not 0 <= sym <= 255:
+            sym = as_symbol(sym)
+        cap = self.capacity
+        below = self.delete_front() if self.head - self.tail + 1 >= cap else None
+        head = self.head
         buf = self.buf
         slots = self._leaf_slots
         maint = self.maint
@@ -489,110 +568,6 @@ class SlidingSuffixTree:
         at = head % cap
         buf[at] = buf[at + cap] = sym
         self.head = head + 1
-
-    def delete_front(self) -> None:
-        """Remove the oldest window symbol, updating the tree online.
-
-        When the longest repeating suffix sits on the edge of the departing
-        leaf, the leaf is shortened in place (its start index moves to the
-        rightmost occurrence) and the active point drops one symbol.
-        Otherwise the leaf is detached and, if its parent is left
-        non-branching, the two surrounding edges merge.  The detached leaf
-        and the merged node go on the spare lists that `append` draws from;
-        a shortened leaf keeps its place in the tree.
-        """
-        self._delete_front()
-
-    def _delete_front(self):
-        """`delete_front`, returning the node `_append` takes as ``below``.
-
-        The deletion canonizes the active point to find out whether the
-        locus sits on the departing leaf's edge.  Unless the leaf is then
-        shortened, which moves the locus, the node found at or below the
-        locus stays there: when a merge removes that node, or the node the
-        locus is counted from, the surviving child takes its place.  So the
-        returned node is the one `canonize` would return after the
-        deletion, or None after a shortening or when no descent was made.
-        """
-        tail = self.tail
-        if self.head < tail:
-            raise ValueError("window is empty")
-        below = self.canonize() if self.proj else None
-        cap = self.capacity
-        slots = self._leaf_slots
-        slot = (tail - 1) % cap
-        u = slots[slot]
-        w = u.parent
-        if u is below:
-            # the departing prefix and the repeating suffix share this edge:
-            # move the leaf, keeping its identity, to the lrs occurrence
-            ins = self.ins
-            new_spos = self.head - (ins.depth + self.proj) + 1
-            new_slot = (new_spos - 1) % cap
-            if slots[new_slot] is not None:
-                raise InvariantError(f"leaf slot of start {new_spos} is taken")
-            slots[slot] = None
-            slots[new_slot] = u
-            u.spos = new_spos
-            if self.maint.on_leaf_shortened is not None:
-                self.maint.on_leaf_shortened(u, w)
-            if ins is self.root:
-                self.proj -= 1
-            else:
-                self.ins = ins.suffix_link
-            below = None
-        else:
-            # a non-root node merges away when u is one of its two children
-            merges = w is not self.root and w.first.sibling.sibling is None
-            self.maint.on_leaf_deleting(u, w, merges)
-            if merges:
-                # w no longer branches: its one child y takes w's place and
-                # key among x's children; w's own links are cleared when it
-                # is recycled, so u need not be unlinked from them
-                y = w.first
-                if y is u:
-                    y = u.sibling
-                x = w.parent
-                if self.ins is w:
-                    # the locus representation counted from w; re-anchor it
-                    self.proj += w.depth - x.depth
-                    self.ins = x
-                    below = y
-                elif below is w:
-                    below = y
-                y.key = w.key
-                y.sibling = w.sibling
-                _relink(x, w, y)
-                if x.index is not None:
-                    x.index[y.key] = y
-                y.parent = x
-                # every live reference into w was repaired above; the spare
-                # keeps no place in the tree, and `append` resets the rest
-                w.first = w.sibling = w.index = None
-                w.parent = None
-                self._spare_nodes.append(w)
-                self.counters.nodes_deleted += 1
-            else:
-                _relink(w, u, u.sibling)
-                if w.index is not None:
-                    del w.index[u.key]
-            u.sibling = None
-            slots[slot] = None
-            u.parent = None
-            self._spare_leaves.append(u)
-            self.counters.leaves_deleted += 1
-        self.tail = tail + 1
-        return below
-
-    def slide(self, sym: Symbol) -> None:
-        """Append, first deleting the front symbol if the window is full;
-        a symbol `append` would refuse is refused before the deletion."""
-        if type(sym) is not int or not 0 <= sym <= 255:
-            sym = as_symbol(sym)
-        if self.head - self.tail + 1 >= self.capacity:
-            self._append(sym, self._delete_front())
-        else:
-            self._append(sym, None)
 
     def extend(self, data) -> None:
         slide = self.slide

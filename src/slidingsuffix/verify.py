@@ -219,5 +219,5 @@ def run_worstcase(n: int, mode: str, variant: str) -> dict:
         "metric": ("credit_update_calls" if mode == "credit"
                    else "plp_field_writes"),
         "critical_event_value": critical,
-        "counters": c.as_dict(),
+        "counters": tree.stats(),
     }

@@ -2,6 +2,7 @@ import importlib.util
 from pathlib import Path
 
 from slidingsuffix import SlidingSuffixTree
+from slidingsuffix.tree import LeafNode
 
 
 def build(text, capacity=None, mode="plp"):
@@ -12,6 +13,14 @@ def build(text, capacity=None, mode="plp"):
     for sym in data:
         tree.slide(sym)
     return tree
+
+
+def is_primary(x) -> bool:
+    """Whether a plp node or leaf is primary: a leaf holds an inverse
+    pointer, an internal node (the root included) holds no pointer."""
+    if isinstance(x, LeafNode):
+        return x.plp_inv is not None
+    return x.plp is None
 
 
 def load_perfbench(name: str):

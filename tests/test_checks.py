@@ -6,10 +6,10 @@ import json
 import pytest
 
 from slidingsuffix import checks, cli, oracle
-from slidingsuffix.tree import InternalNode, LeafNode
+from slidingsuffix.tree import LeafNode
 from slidingsuffix.verify import Lcg
 
-from conftest import build
+from conftest import build, is_primary
 
 MODES = ("plp", "credit")
 
@@ -70,8 +70,8 @@ def test_sound_trees_have_nodes_of_every_kind():
         assert tree.tail > 1
         assert any(n.suffix_link is not tree.root for n in internals(tree))
     tree = sound_tree("plp")
-    assert any(not n.prim for n in internals(tree))
-    assert any(n.prim for n in internals(tree))
+    assert any(not is_primary(n) for n in internals(tree))
+    assert any(is_primary(n) for n in internals(tree))
 
 
 def test_flipped_prim_is_a_pointer_finding():
@@ -81,7 +81,7 @@ def test_flipped_prim_is_a_pointer_finding():
     tree = sound_tree("plp")
     flipped = set()
     for node in tree.iter_nodes():
-        prim = node.prim
+        prim = is_primary(node)
         if isinstance(node, LeafNode):
             field, value = "plp_inv", None if prim else node.parent
         else:
@@ -93,7 +93,7 @@ def test_flipped_prim_is_a_pointer_finding():
 
 def test_nulled_or_redirected_inverse_pointer_is_a_pointer_finding():
     tree = sound_tree("plp")
-    primary = [leaf for leaf in leaves(tree) if leaf.prim]
+    primary = [leaf for leaf in leaves(tree) if is_primary(leaf)]
     assert len(primary) >= 2
     for leaf in primary:
         assert_reported(tree, "pointers", leaf, "plp_inv", None)
@@ -104,7 +104,7 @@ def test_nulled_or_redirected_inverse_pointer_is_a_pointer_finding():
 
 def test_redirected_pointer_is_a_pointer_finding():
     tree = sound_tree("plp")
-    heads = [tree.root] + [n for n in internals(tree) if not n.prim]
+    heads = [tree.root] + [n for n in internals(tree) if not is_primary(n)]
     for node in heads:
         for leaf in leaves(tree):
             if leaf is not node.plp:
@@ -158,7 +158,7 @@ def test_broken_shape_is_a_structure_finding(mode):
                     f"leaf slot lookup broken for spos {tree.tail}")
     assert_reported(tree, "structure", node, "suffix_link", None,
                     f"{name(node)} lacks a suffix link")
-    assert_reported(tree, "structure", node, "suffix_link", InternalNode(None, node.depth - 1),
+    assert_reported(tree, "structure", node, "suffix_link", type(node)(None, node.depth - 1),
                     f"suffix link of {name(node)} targets a dead node")
     wlen = len(tree)
     assert_reported(tree, "structure", tree, "proj", wlen - tree.ins.depth,
@@ -314,7 +314,7 @@ def test_corruption_above_the_cap_is_reported_without_the_oracle(monkeypatch):
     tree = build(bytes(97 + rng.draw(4) for _ in range(window + 100)), capacity=window)
     assert len(tree) > checks.ORACLE_MAX_WINDOW
     assert checks.audit(tree).violations() == []
-    leaf = next(n for n in leaves(tree) if n.prim and n.plp_inv is not tree.root)
+    leaf = next(n for n in leaves(tree) if is_primary(n) and n.plp_inv is not tree.root)
     leaf.plp_inv = tree.root
     found = checks.audit(tree)
     assert found.topology == []

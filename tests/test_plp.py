@@ -9,7 +9,7 @@ from slidingsuffix.tree import InternalNode, LeafNode
 from slidingsuffix.verify import (Lcg, build_deletion_worstcase,
                                   build_insertion_worstcase, drive)
 
-from conftest import build, load_perfbench, node_by_string
+from conftest import build, is_primary, load_perfbench, node_by_string
 
 
 # -- insertion case behavior ---------------------------------------------------
@@ -19,7 +19,7 @@ def test_first_leaf_becomes_primary_root_target():
     tree.counters.reset_event_maxima()
     tree.append("a")
     leaf = tree.root.children[ord("a")]
-    assert leaf.prim
+    assert is_primary(leaf)
     assert tree.root.plp is leaf
     assert leaf.plp_inv is tree.root
     assert tree.counters.plp_field_writes_max_event <= 4
@@ -30,7 +30,7 @@ def test_second_leaf_under_root_stays_secondary():
     tree.counters.reset_event_maxima()
     tree.append("b")
     second = tree.root.children[ord("b")]
-    assert not second.prim
+    assert not is_primary(second)
     assert second.plp_inv is None  # self-pointer kept implicit
     assert tree.counters.plp_field_writes_max_event <= 4
 
@@ -41,9 +41,9 @@ def test_split_of_primary_edge_keeps_new_node_primary():
     tree.append("b")
     tree.append("c")
     node_b = node_by_string(tree, "b")
-    assert node_b is not None and node_b.prim
+    assert node_b is not None and is_primary(node_b)
     new_leaf = node_b.children[ord("c")]
-    assert not new_leaf.prim and new_leaf.plp_inv is None
+    assert not is_primary(new_leaf) and new_leaf.plp_inv is None
     assert checks.audit(tree).pointers == []
 
 
@@ -53,9 +53,9 @@ def test_split_of_secondary_edge_points_new_node_at_new_leaf():
     tree.append("a")
     tree.append("c")
     node_a = node_by_string(tree, "a")
-    assert node_a is not None and not node_a.prim
+    assert node_a is not None and not is_primary(node_a)
     new_leaf = node_a.children[ord("c")]
-    assert new_leaf.prim and node_a.plp is new_leaf and new_leaf.plp_inv is node_a
+    assert is_primary(new_leaf) and node_a.plp is new_leaf and new_leaf.plp_inv is node_a
     assert checks.audit(tree).pointers == []
 
 
@@ -72,9 +72,9 @@ def test_deleting_primary_leaf_under_root_promotes_sibling():
     tree = build("ab")
     first = tree.root.children[ord("a")]
     second = tree.root.children[ord("b")]
-    assert first.prim and not second.prim
+    assert is_primary(first) and not is_primary(second)
     tree.delete_front()
-    assert second.prim
+    assert is_primary(second)
     assert tree.root.plp is second
     assert second.plp_inv is tree.root
     assert checks.audit(tree).pointers == []
@@ -86,7 +86,7 @@ def test_deleting_primary_leaf_under_branching_node_rewires_pointer():
     node_a = node_by_string(tree, "a")
     assert node_a is not None and len(node_a.children) == 3
     victim = tree.leaf_at(tree.tail)
-    assert victim.parent is node_a and victim.prim
+    assert victim.parent is node_a and is_primary(victim)
     z = victim.plp_inv
     tree.delete_front()
     assert len(node_a.children) == 2
@@ -157,7 +157,7 @@ def test_primary_node_answers_from_at_most_two_children(monkeypatch):
     # gains one child per symbol that follows an "a"
     tree = build("".join("a" + chr(c) for c in range(ord("b"), ord("z"))))
     node = node_by_string(tree, "a")
-    assert node.prim and len(node.children) == 24
+    assert is_primary(node) and len(node.children) == 24
     sibling_reads = count_sibling_reads(monkeypatch)
     leaf = tree.leafptr(node)
     reads = sibling_reads()
@@ -174,7 +174,7 @@ def test_deleting_a_primary_leaf_reads_at_most_one_sibling(monkeypatch):
     tree = SlidingSuffixTree(24)
     tree.extend(bytes(range(24)))
     victim = tree.leaf_at(tree.tail)
-    assert victim.prim and len(tree.root.children) == 24
+    assert is_primary(victim) and len(tree.root.children) == 24
     sibling_reads = count_sibling_reads(monkeypatch)
     hook = tree.maint.on_leaf_deleting
     reads = []
@@ -188,7 +188,7 @@ def test_deleting_a_primary_leaf_reads_at_most_one_sibling(monkeypatch):
     tree.slide(24)
     monkeypatch.undo()
     assert len(reads) == 1 and reads[0] <= 1, reads
-    assert tree.root.plp.prim and checks.audit(tree).pointers == []
+    assert is_primary(tree.root.plp) and checks.audit(tree).pointers == []
 
 
 def test_query_returns_in_window_descendant_over_long_stream():
@@ -370,7 +370,7 @@ def test_benchmark_observer_sees_the_plp_pointer_fields():
     tree.append("a")
     obs = expect.WriteObserver(tree)
     with obs.installed():
-        assert obs.fields_observed == 4
+        assert obs.fields_observed == 2  # the plp and plp_inv slots
         tree.extend(data)
     assert obs.events > len(data) // 2
     assert 0 < obs.max_event <= expect.PLP_BOUND

@@ -246,7 +246,8 @@ def test_delete_to_empty_and_refill():
 @pytest.mark.parametrize("mode", ["plp", "credit"])
 def test_slide_matches_delete_front_then_append(mode):
     # slide hands the node its deletion found below the locus to the append;
-    # the public calls descend afresh, so the two trees must stay alike
+    # `append` descends afresh, so the two trees must stay alike, and the
+    # node `delete_front` returns must be the one `canonize` finds after it
     for seed in range(1, 81):
         rng = Lcg(seed)
         sigma = 1 + (seed - 1) % 4
@@ -256,13 +257,34 @@ def test_slide_matches_delete_front_then_append(mode):
         for step in range(6 * cap):
             sym = 97 + rng.draw(sigma)
             hinted.slide(sym)
-            if len(fresh) == cap:
-                fresh.delete_front()
-            fresh.append(sym)
             where = (seed, step)
+            if len(fresh) == cap:
+                below = fresh.delete_front()
+                assert below is None or below is fresh.canonize(), where
+            fresh.append(sym)
             assert hinted.stats() == fresh.stats(), where
             assert hinted.window_bytes() == fresh.window_bytes(), where
             assert checks.audit(hinted).violations() == [], where
+
+
+@pytest.mark.parametrize("mode", ["plp", "credit"])
+def test_slide_deletes_through_the_class_attribute(mode, monkeypatch):
+    # a tracer wraps `SlidingSuffixTree.delete_front` on the class, so each
+    # front deletion a slide makes must go through that attribute
+    tree = build("abcabdabcabe", capacity=8, mode=mode)
+    real = SlidingSuffixTree.delete_front
+    calls = 0
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return real(self)
+
+    monkeypatch.setattr(SlidingSuffixTree, "delete_front", counted)
+    data = b"abacabadabcab" * 3
+    tree.extend(data)
+    assert calls == len(data)
+    assert checks.audit(tree).violations() == []
 
 
 # -- queries -------------------------------------------------------------------
@@ -528,7 +550,7 @@ def test_constructors_reset_every_slot_of_a_recycled_object(mode):
 def test_each_mode_owns_its_node_fields():
     # the shared classes hold the tree's shape; each mode's pointer fields
     # are on its own classes, and no object carries the other mode's
-    plp_fields = {"prim", "plp", "plp_inv"}
+    plp_fields = {"plp", "plp_inv"}
     credit_fields = {"cred", "lp"}
     assert not (plp_fields | credit_fields) & set(InternalNode.__slots__ + LeafNode.__slots__)
     text = "abcabdabcabeabcabd"
