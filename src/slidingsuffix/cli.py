@@ -97,17 +97,37 @@ def _serve(tree, op: str, arg) -> dict:
     return {"ok": True, "tail": tree.tail, "head": tree.head}
 
 
+def _lines(stream, cap: int):
+    """Yield each line of stream, or None in place of a line of more than
+    ``cap`` characters, whose rest is read and dropped ``cap`` at a time."""
+    while line := stream.readline(cap + 1):
+        if len(line) <= cap or line.endswith("\n"):
+            yield line
+            continue
+        while line and not line.endswith("\n"):
+            line = stream.readline(cap)
+        yield None
+
+
 def cmd_interact(args) -> int:
     """Serve JSONL requests until end of input or the first internal fault.
 
     A request that fails validation is a client error: it is answered with
-    ``{"error": ...}`` and the loop goes on.  An exception raised while a
-    valid request is served means the tree may be half-mutated, so the
-    loop answers ``{"error": ..., "fatal": true}`` and stops with exit 1
-    rather than serve answers from a broken tree.
+    ``{"error": ...}`` and the loop goes on.  So is a line too long to
+    hold a window-long pattern, which is never held whole in memory.  An
+    exception raised while a valid request is served means the tree may be
+    half-mutated, so the loop answers ``{"error": ..., "fatal": true}`` and
+    stops with exit 1 rather than serve answers from a broken tree.
     """
     tree = SlidingSuffixTree(args.window, mode=args.mode)
-    for line in sys.stdin:
+    # a window-long pattern written wholly as \u00XX escapes, plus framing;
+    # a longer pattern matches nothing
+    cap = 6 * args.window + 256
+    for line in _lines(sys.stdin, cap):
+        if line is None:
+            print(json.dumps({"error": f"request longer than {cap} characters"}),
+                  flush=True)
+            continue
         line = line.strip()
         if not line:
             continue

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -201,6 +202,41 @@ def test_interact_closed_reader_exits_without_a_traceback(tmp_path):
     assert json.loads(first)["leaves_created"] == 0
     assert b"Traceback" not in err, err.decode()
     assert code == 1
+
+
+def test_interact_bounds_an_over_long_line(tmp_path, monkeypatch, capsys):
+    # a multi-megabyte line is answered as a client error without being held
+    # whole, and the request after it is served
+    size = 4 << 20
+    path = tmp_path / "requests.jsonl"
+    with path.open("w") as fh:
+        fh.write(json.dumps({"op": "append", "sym": "a"}) + "\n")
+        fh.write('{"op": "query", "pattern": "' + "a" * size + '"}\n')
+        fh.write(json.dumps({"op": "query", "pattern": "a"}) + "\n")
+    with path.open() as stdin:
+        monkeypatch.setattr(sys, "stdin", stdin)
+        tracemalloc.start()
+        try:
+            code, out = run_cli(capsys, "interact", "--window", "8")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0 and len(out) == 3
+    assert out[0] == {"ok": True, "tail": 1, "head": 1}
+    assert "longer than" in out[1]["error"] and "fatal" not in out[1]
+    assert out[2] == {"occurrences": [1], "absolute": [1]}
+    assert peak < size // 4, peak  # reading the line whole would take over size
+
+
+def test_interact_line_cap_follows_the_window():
+    # 6 * window + 256 characters hold a window-long pattern written as
+    # \u00XX escapes, with room for the framing; one more is refused
+    cap = 6 * 8 + 256
+    req = json.dumps({"op": "query", "pattern": "\u0000" * 8})
+    assert len(req) < cap
+    out = interact([req.ljust(cap), req.ljust(cap + 1), req])
+    assert out[0] == out[2] == {"occurrences": [], "absolute": []}
+    assert "longer than" in out[1]["error"]
 
 
 def test_interact_validates_before_touching_the_tree():
