@@ -345,99 +345,11 @@ class SlidingSuffixTree:
 
     def append(self, sym: Symbol) -> None:
         """Extend the window by one symbol, updating the tree online."""
-        sym = as_symbol(sym)
+        if type(sym) is not int or not 0 <= sym <= 255:
+            sym = as_symbol(sym)
         if self.head - self.tail + 1 >= self.capacity:
             raise ValueError("window is full; delete_front before appending")
         self.slide(sym)
-
-    def delete_front(self):
-        """Remove the oldest window symbol, updating the tree online.
-
-        When the longest repeating suffix sits on the edge of the departing
-        leaf, the leaf is shortened in place (its start index moves to the
-        rightmost occurrence) and the active point drops one symbol.
-        Otherwise the leaf is detached and, if its parent is left
-        non-branching, the two surrounding edges merge.  The detached leaf
-        and the merged node go on the spare lists that `slide` draws from;
-        a shortened leaf keeps its place in the tree.
-
-        Returns the node `canonize` would return after the deletion, or
-        None.  The deletion canonizes the active point to find out whether
-        the locus sits on the departing leaf's edge.  Unless the leaf is
-        then shortened, which moves the locus, the node found at or below
-        the locus stays there: when a merge removes that node, or the node
-        the locus is counted from, the surviving child takes its place.
-        None comes back after a shortening or when no descent was made.
-        """
-        tail = self.tail
-        if self.head < tail:
-            raise ValueError("window is empty")
-        below = self.canonize() if self.proj else None
-        cap = self.capacity
-        slots = self._leaf_slots
-        slot = (tail - 1) % cap
-        u = slots[slot]
-        w = u.parent
-        if u is below:
-            # the departing prefix and the repeating suffix share this edge:
-            # move the leaf, keeping its identity, to the lrs occurrence
-            ins = self.ins
-            new_spos = self.head - (ins.depth + self.proj) + 1
-            new_slot = (new_spos - 1) % cap
-            if slots[new_slot] is not None:
-                raise InvariantError(f"leaf slot of start {new_spos} is taken")
-            slots[slot] = None
-            slots[new_slot] = u
-            u.spos = new_spos
-            if self.maint.on_leaf_shortened is not None:
-                self.maint.on_leaf_shortened(u, w)
-            if ins is self.root:
-                self.proj -= 1
-            else:
-                self.ins = ins.suffix_link
-            below = None
-        else:
-            # a non-root node merges away when u is one of its two children
-            merges = w is not self.root and w.first.sibling.sibling is None
-            self.maint.on_leaf_deleting(u, w, merges)
-            if merges:
-                # w no longer branches: its one child y takes w's place and
-                # key among x's children; w's own links are cleared when it
-                # is recycled, so u need not be unlinked from them
-                y = w.first
-                if y is u:
-                    y = u.sibling
-                x = w.parent
-                if self.ins is w:
-                    # the locus representation counted from w; re-anchor it
-                    self.proj += w.depth - x.depth
-                    self.ins = x
-                    below = y
-                elif below is w:
-                    below = y
-                y.key = w.key
-                y.sibling = w.sibling
-                _relink(x, w, y)
-                if x.index is not None:
-                    x.index[y.key] = y
-                y.parent = x
-                # every live reference into w was repaired above; the spare
-                # keeps no place in the tree, and `slide` resets the rest
-                w.first = w.sibling = w.index = None
-                w.parent = None
-                self._spare_nodes.append(w)
-                self.counters.nodes_deleted += 1
-            else:
-                _relink(w, u, u.sibling)
-                if w.index is not None:
-                    del w.index[u.key]
-            u.sibling = None
-            slots[slot] = None
-            u.parent = None
-            self._spare_leaves.append(u)
-            self.counters.leaves_deleted += 1
-        self.tail = tail + 1
-        return below
 
     def slide(self, sym: Symbol) -> None:
         """Append, first deleting the front symbol if the window is full;
@@ -568,6 +480,95 @@ class SlidingSuffixTree:
         at = head % cap
         buf[at] = buf[at + cap] = sym
         self.head = head + 1
+
+    def delete_front(self):
+        """Remove the oldest window symbol, updating the tree online.
+
+        When the longest repeating suffix sits on the edge of the departing
+        leaf, the leaf is shortened in place (its start index moves to the
+        rightmost occurrence) and the active point drops one symbol.
+        Otherwise the leaf is detached and, if its parent is left
+        non-branching, the two surrounding edges merge.  The detached leaf
+        and the merged node go on the spare lists that `slide` draws from;
+        a shortened leaf keeps its place in the tree.
+
+        Returns the node `canonize` would return after the deletion, or
+        None.  The deletion canonizes the active point to find out whether
+        the locus sits on the departing leaf's edge.  Unless the leaf is
+        then shortened, which moves the locus, the node found at or below
+        the locus stays there: when a merge removes that node, or the node
+        the locus is counted from, the surviving child takes its place.
+        None comes back after a shortening or when no descent was made.
+        """
+        tail = self.tail
+        if self.head < tail:
+            raise ValueError("window is empty")
+        below = self.canonize() if self.proj else None
+        cap = self.capacity
+        slots = self._leaf_slots
+        slot = (tail - 1) % cap
+        u = slots[slot]
+        w = u.parent
+        if u is below:
+            # the departing prefix and the repeating suffix share this edge:
+            # move the leaf, keeping its identity, to the lrs occurrence
+            ins = self.ins
+            new_spos = self.head - (ins.depth + self.proj) + 1
+            new_slot = (new_spos - 1) % cap
+            if slots[new_slot] is not None:
+                raise InvariantError(f"leaf slot of start {new_spos} is taken")
+            slots[slot] = None
+            slots[new_slot] = u
+            u.spos = new_spos
+            if self.maint.on_leaf_shortened is not None:
+                self.maint.on_leaf_shortened(u, w)
+            if ins is self.root:
+                self.proj -= 1
+            else:
+                self.ins = ins.suffix_link
+            below = None
+        else:
+            # a non-root node merges away when u is one of its two children
+            merges = w is not self.root and w.first.sibling.sibling is None
+            self.maint.on_leaf_deleting(u, w, merges)
+            if merges:
+                # w no longer branches: its one child y takes w's place and
+                # key among x's children; w's own links are cleared when it
+                # is recycled, so u need not be unlinked from them
+                y = w.first
+                if y is u:
+                    y = u.sibling
+                x = w.parent
+                if self.ins is w:
+                    # the locus representation counted from w; re-anchor it
+                    self.proj += w.depth - x.depth
+                    self.ins = x
+                    below = y
+                elif below is w:
+                    below = y
+                y.key = w.key
+                y.sibling = w.sibling
+                _relink(x, w, y)
+                if x.index is not None:
+                    x.index[y.key] = y
+                y.parent = x
+                # every live reference into w was repaired above; the spare
+                # keeps no place in the tree, and `slide` resets the rest
+                w.first = w.sibling = w.index = None
+                w.parent = None
+                self._spare_nodes.append(w)
+                self.counters.nodes_deleted += 1
+            else:
+                _relink(w, u, u.sibling)
+                if w.index is not None:
+                    del w.index[u.key]
+            u.sibling = None
+            slots[slot] = None
+            u.parent = None
+            self._spare_leaves.append(u)
+            self.counters.leaves_deleted += 1
+        self.tail = tail + 1
+        return below
 
     def extend(self, data) -> None:
         slide = self.slide
