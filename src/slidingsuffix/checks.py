@@ -61,8 +61,9 @@ class Audit:
     """Findings of one `audit`, one list per family.
 
     * ``structure``: sibling lists, child indexes, and parent, key,
-      depth, leaf-slot and suffix-link consistency, and the bounds on the
-      lrs length;
+      depth, leaf-slot and suffix-link consistency, the bounds on the
+      lrs length, and the node the tree holds as the one below its
+      active point (``tree.below``);
     * ``topology``: the tree read back through its edge labels (``sketch``)
       against the oracle, and the lrs length against the oracle's;
     * ``freshness``: every edge's derived index pair lies inside the window
@@ -233,6 +234,23 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
     lrs = tree.lrs_len()
     if not 0 <= lrs <= max(wlen - 1, 0):
         structure.append(f"lrs length {lrs} impossible for window of {wlen}")
+    below = tree.below
+    if below is not None:
+        # the node a fresh descent would return: ins itself on a node, else
+        # the child of ins keyed by the locus's first symbol below ins,
+        # whose edge runs past the locus
+        ins, proj = tree.ins, tree.proj
+        if proj == 0:
+            held = below is ins
+        else:
+            at = head - proj + 1
+            held = (below.parent is ins and tail <= at
+                    and below.key == tree.buf[(at - 1) % tree.capacity]
+                    and (head - below.spos + 1 if below.first is None
+                         else below.depth) - ins.depth > proj)
+        if not held:
+            structure.append(f"{_name(below)} is held as the node below the active "
+                             f"point, but a descent does not end there")
 
     got = TreeSketch(tuple(sorted(s for s in strings.values() if s is not None)),
                      tuple(sorted(leaf_starts)))

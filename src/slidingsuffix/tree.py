@@ -63,12 +63,17 @@ normalized lazily by `canonize`.  Because the tracked locus is always a
 suffix of the window, the first symbol of the edge below ``ins`` is the
 window symbol at ``head - proj + 1``.
 
-A slide descends to the locus once.  `delete_front` canonizes it to learn
-whether the locus lies on the departing leaf's edge, and returns the node
-it found below the locus (see `delete_front` for when that node stays
-valid).  `slide` hands that node to the first sub-iteration of its append
-phase, which would otherwise descend to the same node.  Each later
-sub-iteration descends through `canonize`.
+The tree also carries ``below``, the node `canonize` would return for the
+current ``(ins, proj)``, or None when that is unknown.  While ``below`` is
+set, ``(ins, proj)`` is exactly what `canonize` would leave: a locus that
+lands on a node is that node with ``proj == 0``.  Every operation that
+knows the node below the locus when it stops stores it: `canonize`, the end
+of a slide's append phase (the child it matched or the root it inserted
+under), and `delete_front` unless it shortens a leaf.  So a slide starts
+from the node the previous operation left: its deletion and the first
+sub-iteration of its append phase read ``below`` and do not descend.  Only
+a sub-iteration after a suffix-link hop, or the first one after a
+shortening, descends through `canonize`.
 """
 
 from __future__ import annotations
@@ -211,6 +216,10 @@ class Counters:
 class SlidingSuffixTree:
     """Implicit suffix tree of the live window of a byte stream."""
 
+    __slots__ = ("capacity", "tail", "head", "buf", "mode", "counters", "root",
+                 "ins", "proj", "below", "_leaf_slots", "_spare_leaves",
+                 "_spare_nodes", "maint")
+
     def __init__(self, capacity: int, mode: str = "plp"):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -227,6 +236,7 @@ class SlidingSuffixTree:
         self.root.index = {}
         self.ins = self.root
         self.proj = 0
+        self.below = None  # the node canonize() would return, when known
         self._leaf_slots: list = [None] * capacity
         self._spare_leaves: list = []  # detached leaves, reused by `append`
         self._spare_nodes: list = []   # merged internal nodes, likewise
@@ -303,12 +313,18 @@ class SlidingSuffixTree:
 
         Returns ``ins`` itself when the active point rests on a node,
         otherwise the child at the far end of the edge the locus sits on.
-        Descends by edge lengths alone: the tracked string is known to
-        exist, so only the keys of siblings are examined.
+        The answer is stored in ``below``; while it is set, ``(ins, proj)``
+        is already normal and the call returns it without descending.
+        Otherwise it descends by edge lengths alone: the tracked string is
+        known to exist, so only the keys of siblings are examined.
         """
+        below = self.below
+        if below is not None:
+            return below
         proj = self.proj
         ins = self.ins
         if proj == 0:
+            self.below = ins
             return ins
         buf = self.buf
         cap = self.capacity
@@ -339,6 +355,7 @@ class SlidingSuffixTree:
                 break
         self.ins = ins
         self.proj = proj
+        self.below = child
         return child
 
     # -- mutation ---------------------------------------------------------
@@ -361,13 +378,20 @@ class SlidingSuffixTree:
         leaf, splitting an edge when the locus is mid-edge, then drops to
         the next shorter suffix via a suffix link.  The active point lives
         in locals and is stored back only around `canonize` and at the end.
-        When the deletion returns the node below a mid-edge locus, the
-        first sub-iteration starts from that node and does not descend.
+        The first sub-iteration starts from ``below`` when it is set, as it
+        is after any operation but a shortening deletion, and does not
+        descend; ``below`` is cleared before each later descent.  The phase
+        stores the node below its final locus: the child it matched, the
+        node below a mid-edge match, or the root after a root insertion.  A
+        match that ends exactly on an internal node moves the active point
+        onto that node, so ``(ins, proj)`` stays normal.
         """
         if type(sym) is not int or not 0 <= sym <= 255:
             sym = as_symbol(sym)
         cap = self.capacity
-        below = self.delete_front() if self.head - self.tail + 1 >= cap else None
+        if self.head - self.tail + 1 >= cap:
+            self.delete_front()
+        below = self.below
         head = self.head
         buf = self.buf
         slots = self._leaf_slots
@@ -384,6 +408,7 @@ class SlidingSuffixTree:
             if proj and below is None:
                 self.ins = ins
                 self.proj = proj
+                self.below = None
                 below = self.canonize()
                 ins = self.ins
                 proj = self.proj
@@ -405,7 +430,11 @@ class SlidingSuffixTree:
                 if child is not None:
                     if v is not None:
                         v.suffix_link = ins
-                    proj = 1
+                    if child.first is not None and child.depth == ins.depth + 1:
+                        ins = child  # the locus is the child itself
+                    else:
+                        proj = 1
+                    below = child
                     break
                 w = ins
                 split_child = None
@@ -422,6 +451,9 @@ class SlidingSuffixTree:
                     if v is not None:
                         raise InvariantError("suffix link pending at a mid-edge locus")
                     proj += 1
+                    if below.first is not None and below.depth == ins.depth + proj:
+                        ins = below
+                        proj = 0
                     break
                 # split the edge ins -> below at the locus: w takes below's
                 # place and key among ins's children, and below hangs from
@@ -465,6 +497,7 @@ class SlidingSuffixTree:
             if v is not None:
                 v.suffix_link = w
             if w is root:
+                below = root
                 break
             v = w
             if ins is root:
@@ -473,6 +506,7 @@ class SlidingSuffixTree:
                 ins = ins.suffix_link
         self.ins = ins
         self.proj = proj
+        self.below = below
         counters = self.counters
         counters.explicit_extensions += extensions
         counters.nodes_created += nodes
@@ -492,18 +526,21 @@ class SlidingSuffixTree:
         and the merged node go on the spare lists that `slide` draws from;
         a shortened leaf keeps its place in the tree.
 
-        Returns the node `canonize` would return after the deletion, or
-        None.  The deletion canonizes the active point to find out whether
-        the locus sits on the departing leaf's edge.  Unless the leaf is
-        then shortened, which moves the locus, the node found at or below
-        the locus stays there: when a merge removes that node, or the node
-        the locus is counted from, the surviving child takes its place.
-        None comes back after a shortening or when no descent was made.
+        The deletion reads ``below`` to find out whether the locus sits on
+        the departing leaf's edge, and descends through `canonize` only
+        when ``below`` is unknown.  Unless the leaf is then shortened, which
+        moves the locus, the node at or below the locus stays there: when a
+        merge removes that node, or the node the locus is counted from, the
+        surviving child takes its place.  The deletion stores the result in
+        ``below`` and returns it: the node `canonize` would return after
+        the deletion, or None after a shortening.
         """
         tail = self.tail
         if self.head < tail:
             raise ValueError("window is empty")
-        below = self.canonize() if self.proj else None
+        below = self.below
+        if below is None:
+            below = self.canonize()
         cap = self.capacity
         slots = self._leaf_slots
         slot = (tail - 1) % cap
@@ -568,6 +605,7 @@ class SlidingSuffixTree:
             self._spare_leaves.append(u)
             self.counters.leaves_deleted += 1
         self.tail = tail + 1
+        self.below = below
         return below
 
     def extend(self, data) -> None:

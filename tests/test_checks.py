@@ -190,6 +190,27 @@ def test_broken_links_are_structure_findings(mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_wrong_node_below_the_active_point_is_a_structure_finding(mode):
+    def held(node):
+        return (f"{checks._name(node)} is held as the node below the active "
+                f"point, but a descent does not end there")
+
+    # slid so that the locus sits mid-edge below a node other than the root
+    tree = build("xabcabdabcabeabcabdab", capacity=16, mode=mode)
+    assert tree.tail > 1 and checks.audit(tree).violations() == []
+    ins, below = tree.ins, tree.below
+    assert tree.proj > 0 and ins is not tree.root and below.parent is ins
+    sibling = next(k for k in kids(ins) if k is not below)
+    for wrong in (sibling, ins.parent):
+        assert_reported(tree, "structure", tree, "below", wrong, held(wrong))
+    # on a node, the held node is that node
+    tree = build("abcabdabcabeabcabdabcabx", capacity=16, mode=mode)
+    assert tree.proj == 0 and tree.below is tree.ins
+    child = tree.ins.first
+    assert_reported(tree, "structure", tree, "below", child, held(child))
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_labels_outside_the_window_are_freshness_findings(mode):
     tree = sound_tree(mode)
     tail, head = tree.tail, tree.head

@@ -1,3 +1,4 @@
+import copy
 import gc
 import os
 import subprocess
@@ -245,9 +246,17 @@ def test_delete_to_empty_and_refill():
 
 @pytest.mark.parametrize("mode", ["plp", "credit"])
 def test_slide_matches_delete_front_then_append(mode):
-    # slide hands the node its deletion found below the locus to the append;
-    # `append` descends afresh, so the two trees must stay alike, and the
-    # node `delete_front` returns must be the one `canonize` finds after it
+    # a slide starts from the node below the locus that the tree carries;
+    # `fresh` forgets that node before each append, so it descends afresh.
+    # The two trees must stay alike, and every carried node must be the one
+    # a descent with the field cleared finds
+    def assert_carried(tree, where):
+        probe = copy.deepcopy(tree)
+        held, ins, proj = probe.below, probe.ins, probe.proj
+        probe.below = None
+        assert probe.canonize() is held, where
+        assert probe.ins is ins and probe.proj == proj, where
+
     for seed in range(1, 81):
         rng = Lcg(seed)
         sigma = 1 + (seed - 1) % 4
@@ -258,9 +267,13 @@ def test_slide_matches_delete_front_then_append(mode):
             sym = 97 + rng.draw(sigma)
             hinted.slide(sym)
             where = (seed, step)
+            assert hinted.below is not None, where
+            assert_carried(hinted, where)
             if len(fresh) == cap:
                 below = fresh.delete_front()
+                fresh.below = None
                 assert below is None or below is fresh.canonize(), where
+            fresh.below = None
             fresh.append(sym)
             assert hinted.stats() == fresh.stats(), where
             assert hinted.window_bytes() == fresh.window_bytes(), where
@@ -285,6 +298,39 @@ def test_slide_deletes_through_the_class_attribute(mode, monkeypatch):
     tree.extend(data)
     assert calls == len(data)
     assert checks.audit(tree).violations() == []
+
+
+@pytest.mark.parametrize("mode", ["plp", "credit"])
+def test_no_slide_starts_with_a_descent(mode, monkeypatch):
+    # a slide's deletion and its first sub-iteration read the carried node,
+    # so only sub-iterations after a suffix-link hop, or the first after a
+    # shortening deletion (which deletes no leaf), may descend
+    cap = 4096
+    tree = SlidingSuffixTree(cap, mode=mode)
+    rng = Lcg(17)
+    for _ in range(cap):
+        tree.slide(97 + rng.draw(4))
+    real = SlidingSuffixTree.canonize
+    calls = 0
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return real(self)
+
+    monkeypatch.setattr(SlidingSuffixTree, "canonize", counted)
+    c = tree.counters
+    extensions, deleted = c.explicit_extensions, c.leaves_deleted
+    for _ in range(cap):
+        tree.slide(97 + rng.draw(4))
+    assert 0 < calls <= (c.explicit_extensions - extensions) - (c.leaves_deleted - deleted)
+
+
+def test_tree_has_no_instance_dict():
+    tree = build("abcab", capacity=4)
+    assert not hasattr(tree, "__dict__")
+    with pytest.raises(AttributeError):
+        tree.scratch = 1
 
 
 # -- queries -------------------------------------------------------------------
