@@ -1,11 +1,11 @@
 """Invariant sweeps: structural, pointer, and differential checks.
 
-`audit` walks the tree once and returns its findings grouped by family;
-every family empty means the tree is sound.  Findings are human-readable
-strings, so callers can aggregate across events and report the first
-failure with context.  These checks are deliberately written against the
-window text and the brute-force oracle, not against the incremental
-machinery they are auditing.
+`audit` walks the tree once, the spare lists and leaf slots included, and
+returns its findings grouped by family; every family empty means the tree
+is sound.  Findings are human-readable strings, so callers can aggregate
+across events and report the first failure with context.  These checks
+are deliberately written against the window text and the brute-force
+oracle, not against the incremental machinery they are auditing.
 """
 
 from __future__ import annotations
@@ -62,8 +62,9 @@ class Audit:
 
     * ``structure``: sibling lists, child indexes, and parent, key,
       depth, leaf-slot and suffix-link consistency, the bounds on the
-      lrs length, and the node the tree holds as the one below its
-      active point (``tree.below``);
+      lrs length, the node the tree holds as the one below its active
+      point (``tree.below``), and the spare lists: each spare listed
+      once and unlinked, and no leaf slot holding one;
     * ``topology``: the tree read back through its edge labels (``sketch``)
       against the oracle, and the lrs length against the oracle's;
     * ``freshness``: every edge's derived index pair lies inside the window
@@ -93,10 +94,15 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
     is computed here for windows of at most `ORACLE_MAX_WINDOW` symbols;
     above that the topology family is left unchecked (empty), and every
     other family still runs.  Each edge label is derived once through
-    `tree.edge_label` and read once through `tree.substring`.  A label
-    that cannot be derived or read is a freshness finding; the walk still
-    descends below it, with the strings there left unknown, so the
-    pointer checks cover the whole tree.
+    `tree.edge_label` and read from the mirrored ring: an internal edge
+    as one slice, for its node's string, a leaf edge as the one symbol
+    the key check needs, so a leaf costs O(1) however long its label.  A
+    label that cannot be derived or lies outside the window is a
+    freshness finding; the walk still descends below it, with the strings
+    there left unknown, so the pointer checks cover the whole tree.  A
+    spare the live tree still reaches is found through the link that
+    reaches it: a broken parent link, an index that does not list its
+    node's children, a dead suffix-link target, or a missed path end.
 
     In plp mode primary-ness is read from the pointers: a node is primary
     when it holds no pointer, a leaf when it holds an inverse pointer.  The
@@ -114,8 +120,10 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
     if expected is None and wlen <= ORACLE_MAX_WINDOW:
         expected = oracle.naive_suffix_tree(tree.window_bytes())
     edge_label = tree.edge_label
-    substring = tree.substring
     leaf_at = tree.leaf_at
+    buf = tree.buf
+    cap = tree.capacity
+    slots = tree._leaf_slots
     plp = tree.mode == "plp"
     root = tree.root
     structure, freshness, pointers = [], [], []
@@ -146,8 +154,6 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
         if index is not None:
             if list(index.items()) != [(child.key, child) for child in children]:
                 structure.append(f"the index of {_name(node)} does not list its children")
-        elif node is root:
-            structure.append("the root has no index")
         if node is not root and len(children) < 2:
             structure.append(f"non-root {_name(node)} has {len(children)} children")
         if plp:
@@ -190,10 +196,15 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
                     if lo - depth < tail:
                         freshness.append(f"edge label <{lo},{hi}> below depth {depth} not "
                                          f"strongly fresh in [{tail}..{head}]")
-                    label = substring(lo, hi)
-                    if label[0] != child.key:
+                    a = (lo - 1) % cap
+                    if child.first is None:
+                        key = buf[a]
+                    else:
+                        label = buf[a:a + hi - lo + 1]
+                        key = label[0]
+                    if key != child.key:
                         structure.append(f"edge key {child.key} does not match label "
-                                         f"start {label[0]}")
+                                         f"start {key}")
             if child.first is not None:
                 if label is None or s is None:
                     stack.append((child, None, child_top))
@@ -206,7 +217,7 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
             leaf_starts.append(spos - tail + 1)
             if not tail <= spos <= head:
                 structure.append(f"leaf start {spos} outside window")
-            if leaf_at(spos) is not child:
+            if slots[(spos - 1) % cap] is not child:
                 structure.append(f"leaf slot lookup broken for spos {spos}")
             if not plp:
                 leaf_rank[child] = len(leaf_rank)
@@ -221,6 +232,16 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
             pointers.append(f"{_name(node)} has {prim_children} primary children")
     if plp and heads != prim_leaves:
         pointers.append("pointer map is not a bijection onto the leaves")
+    taken = cap - slots.count(None)
+    if taken != len(leaf_starts):
+        structure.append(f"{taken} leaf slots are taken for {len(leaf_starts)} live leaves")
+    spares = tree._spare_leaves + tree._spare_nodes
+    if len(set(spares)) != len(spares):
+        structure.append("a spare is listed twice")
+    for spare in spares:
+        if (spare.parent is not None or spare.sibling is not None
+                or spare.first is not None or getattr(spare, "index", None) is not None):
+            structure.append(f"spare {_name(spare)} is still linked")
     for node, s in strings.items():
         if node is root:
             continue

@@ -62,8 +62,8 @@ def locate(tree, pattern):
 def _locate(tree, p: bytes):
     """Blind descent; returns (node, matched_on_edge, edges_touched).
 
-    Children are chosen by ``p[depth]`` alone, through a node's dict index
-    where it has one (always at the root) and by scanning siblings' keys
+    From the root, each child is chosen by ``p[depth]`` alone, through a
+    node's dict index where it has one and by scanning siblings' keys
     elsewhere, down to a leaf or to the first node of depth at least
     ``len(p)``.  Then one leaf below the node
     (the node itself, or its leaf pointer) is read: the pattern occurs iff
@@ -72,28 +72,27 @@ def _locate(tree, p: bytes):
     the mirrored slice would wrap into the window's oldest symbols.
     """
     m = len(p)
-    child = tree.root.index.get(p[0])
+    child = tree.root
     depth = edges = 0
-    while child is not None:
+    while True:
+        key = p[depth]
+        index = child.index
+        if index is None:
+            child = child.first
+            while child is not None and child.key != key:
+                child = child.sibling
+        else:
+            child = index.get(key)
+        if child is None:
+            return None, 0, edges
         edges += 1
-        first = child.first
-        if first is None:
+        if child.first is None:
             leaf = child
             break
         if child.depth >= m:
             leaf = tree.maint.leaf_for(child)
             break
         depth = child.depth
-        key = p[depth]
-        index = child.index
-        if index is None:
-            child = first
-            while child is not None and child.key != key:
-                child = child.sibling
-        else:
-            child = index.get(key)
-    else:
-        return None, 0, edges
     k = leaf.spos
     if k + m - 1 > tree.head:
         return None, 0, edges

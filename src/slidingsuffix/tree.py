@@ -16,12 +16,13 @@ scans a step or two, where a dict would cost 224 bytes per node.  Keys are
 stored because the scan compares one per sibling: reading each from the
 window instead would cost a leaf-pointer derivation per step.  A node that
 branches widely (text, near the root) would make every lookup a long scan,
-so the root, and a node once it has more than `WIDE` children, also keeps
-``index``, a ``{key: child}`` dict in sibling order that lookups use in
-place of the scan; every other node's ``index`` is None.  A node keeps its
-index until it merges away.  ``InternalNode.children`` builds a
-``{key: child}`` dict of any node on demand; a slide reads it only to build
-the index of a node that has just grown wide, and no query reads it.
+so a node, the root included, keeps ``index``, a ``{key: child}`` dict in
+sibling order that lookups use in place of the scan, once it has more than
+`WIDE` children; every other node's ``index`` is None.  A node keeps its
+index until it merges away, and the root, which never merges, for good.
+``InternalNode.children`` builds a ``{key: child}`` dict of any node on
+demand; a slide reads it only to build the index of a node that has just
+grown wide, and no query reads it.
 
 The tree owns the window's ring buffer.  Positions are absolute and 1-based:
 the k-th symbol ever appended lives at position k until `delete_front`
@@ -48,7 +49,9 @@ Departed objects are recycled.  `delete_front` puts each leaf it detaches
 and each node it merges away on a spare list, unlinked, and `slide` takes
 an object from the list when one is there and resets it by running its
 constructor again, which sets every slot.  It constructs a new object only
-when the list is empty.
+when the list is empty.  `checks.audit` checks that each spare is listed
+once, holds no parent, sibling, child or index, and that no leaf slot
+holds one.
 So the leaves ever constructed number the peak of live leaves, and live
 plus spare leaves equal that peak at every moment; the same holds for
 internal nodes.  Both peaks are at most ``capacity``, so space stays O(W)
@@ -233,7 +236,6 @@ class SlidingSuffixTree:
         self.counters = Counters()
         maint_class = plp.PlpMaintenance if mode == "plp" else credit.CreditMaintenance
         self.root = maint_class.node_class(None, 0)
-        self.root.index = {}
         self.ins = self.root
         self.proj = 0
         self.below = None  # the node canonize() would return, when known
@@ -300,7 +302,7 @@ class SlidingSuffixTree:
             raise ValueError("the root has no incoming edge")
         if node.first is None:
             return node.spos + parent.depth, self.head
-        k = self.leafptr(node).spos
+        k = self.maint.leaf_for(node).spos
         return k + parent.depth, k + node.depth - 1
 
     def stats(self) -> dict:

@@ -106,36 +106,3 @@ def node_by_string(tree, s):
             child = child.sibling
     return None
 
-
-def spare_problems(tree) -> list:
-    """What is wrong with the tree's spare lists of retired leaves and
-    nodes: a spare still attached, linked to a child or a sibling, or
-    holding an index, a spare listed twice, or a spare that the live tree
-    can still reach."""
-    problems = []
-    spares = tree._spare_leaves + tree._spare_nodes
-    spare_ids = {id(s) for s in spares}
-    if len(spare_ids) != len(spares):
-        problems.append("a spare is listed twice")
-    for s in spares:
-        if s.parent is not None:
-            problems.append(f"spare {s!r} still has a parent")
-        if s.first is not None:
-            problems.append(f"spare {s!r} still has a first child")
-        if s.sibling is not None:
-            problems.append(f"spare {s!r} still has a sibling")
-        if getattr(s, "index", None) is not None:
-            problems.append(f"spare {s!r} still has an index")
-    reachable = []
-    for node in tree.iter_nodes():
-        reachable.append(node)
-        if node.first is not None:
-            reachable += (node.index or {}).values()
-            reachable.append(node.suffix_link)
-            if tree.mode == "plp" and node.plp is not None:
-                reachable.append(node.plp)
-    reachable += tree._leaf_slots
-    for obj in reachable:
-        if id(obj) in spare_ids:
-            problems.append(f"spare {obj!r} is reachable from the live tree")
-    return problems

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from slidingsuffix import checks, cli, oracle
-from slidingsuffix.tree import LeafNode
+from slidingsuffix import SlidingSuffixTree, checks, cli, oracle
+from slidingsuffix.tree import WIDE, LeafNode
 from slidingsuffix.verify import Lcg
 
 from conftest import build, is_primary
@@ -17,6 +17,19 @@ MODES = ("plp", "credit")
 def sound_tree(mode):
     # slid past its capacity, so tail > 1 and stale starts exist
     tree = build("abcabdabcabeabcabdabc", capacity=16, mode=mode)
+    assert checks.audit(tree).violations() == []
+    return tree
+
+
+def wide_tree(mode):
+    # the root and node "x" have more than WIDE children, so both keep an
+    # index; slid past its capacity and shrunk, so it holds spares of both
+    # kinds
+    tree = build("abxaxbxcxdxexfxgxhxixjxkxa", capacity=24, mode=mode)
+    tree.delete_front()
+    indexed = [n for n in tree.iter_nodes() if n.first and n.index is not None]
+    assert len(indexed) == 2 and all(len(kids(n)) > WIDE for n in indexed)
+    assert tree._spare_leaves and tree._spare_nodes
     assert checks.audit(tree).violations() == []
     return tree
 
@@ -177,16 +190,74 @@ def test_broken_links_are_structure_findings(mode):
                     f"{checks.MAX_CHILDREN} steps")
     assert_reported(tree, "structure", second, "key", first.key,
                     f"{name(node)} has two children keyed {first.key}")
-    root = tree.root
-    top = root.first
-    assert_reported(tree, "structure", root, "index",
-                    {k: c for k, c in root.index.items() if c is not top},
-                    "the index of root does not list its children")
-    assert_reported(tree, "structure", root, "index", {**root.index, top.key: top.sibling},
-                    "the index of root does not list its children")
-    assert_reported(tree, "structure", root, "index", None, "the root has no index")
     assert_reported(tree, "structure", node, "index", {first.key: first},
                     f"the index of {name(node)} does not list its children")
+    tree = wide_tree(mode)
+    for node in tree.iter_nodes():
+        if node.first is None or node.index is None:
+            continue
+        top = node.first
+        text = f"the index of {name(node)} does not list its children"
+        assert_reported(tree, "structure", node, "index",
+                        {k: c for k, c in node.index.items() if c is not top}, text)
+        assert_reported(tree, "structure", node, "index",
+                        {**node.index, top.key: top.sibling}, text)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_linked_spares_are_structure_findings(mode):
+    tree = wide_tree(mode)
+    name = checks._name
+    leaf, node = tree._spare_leaves[0], tree._spare_nodes[0]
+    live = tree.root.first
+    for field in ("parent", "sibling"):
+        assert_reported(tree, "structure", leaf, field, live,
+                        f"spare {name(leaf)} is still linked")
+    for field in ("parent", "sibling", "first"):
+        assert_reported(tree, "structure", node, field, live,
+                        f"spare {name(node)} is still linked")
+    assert_reported(tree, "structure", node, "index", {live.key: live},
+                    f"spare {name(node)} is still linked")
+    for attr in ("_spare_leaves", "_spare_nodes"):
+        spares = getattr(tree, attr)
+        assert_reported(tree, "structure", tree, attr, spares + spares[:1],
+                        "a spare is listed twice")
+    # a slot of no live leaf that holds a retired one
+    slots = list(tree._leaf_slots)
+    slots[slots.index(None)] = leaf
+    live_leaves = len(leaves(tree))
+    assert_reported(tree, "structure", tree, "_leaf_slots", slots,
+                    f"{live_leaves + 1} leaf slots are taken for {live_leaves} live leaves")
+    # a spare that the live tree reaches through an index
+    root = tree.root
+    assert_reported(tree, "structure", root, "index", {**root.index, ord("z"): leaf},
+                    "the index of root does not list its children")
+
+
+class CountingRing(bytearray):
+    """A ring buffer that counts the bytes it hands out in slices."""
+
+    sliced = 0
+
+    def __getitem__(self, at):
+        out = super().__getitem__(at)
+        if isinstance(at, slice):
+            self.sliced += len(out)
+        return out
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_audit_slices_internal_labels_only(mode):
+    # a leaf label runs to the head, so copying each one would read about
+    # W^2 / 2 bytes; the audit reads one symbol of it, O(1) per leaf edge
+    rng = Lcg(5)
+    tree = SlidingSuffixTree(512, mode=mode)
+    tree.extend(bytes(97 + rng.draw(4) for _ in range(768)))
+    expected = oracle.naive_suffix_tree(tree.window_bytes())
+    tree.buf = ring = CountingRing(tree.buf)
+    assert checks.audit(tree, expected).violations() == []
+    internal = sum(n.depth - n.parent.depth for n in internals(tree))
+    assert 0 < ring.sliced <= internal, (ring.sliced, internal)
 
 
 @pytest.mark.parametrize("mode", MODES)

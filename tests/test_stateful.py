@@ -1,9 +1,9 @@
 """A plp tree and a credit tree driven through the same random events.
 
 Hypothesis picks the events (append, delete_front, slide) and the queries,
-checks both trees against the oracle after every step, checks that the
-objects each tree keeps for reuse stay out of its live tree, and shrinks a
-failing run to a short event sequence.
+audits both trees against the oracle after every step (the audit also
+checks that the objects each tree keeps for reuse stay out of its live
+tree), and shrinks a failing run to a short event sequence.
 """
 
 from hypothesis import settings, strategies as st
@@ -12,8 +12,6 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
 
 from slidingsuffix import MODES, SlidingSuffixTree, checks
 from slidingsuffix.oracle import naive_occurrences, naive_suffix_tree
-
-from conftest import spare_problems
 
 CAPACITY = 9
 ALPHABET = b"abc"
@@ -64,11 +62,6 @@ class SlidingTrees(RuleBasedStateMachine):
         sketch = naive_suffix_tree(self.window)
         for tree in self.trees:
             assert checks.audit(tree, sketch).violations() == [], tree.mode
-
-    @invariant()
-    def spares_are_detached_from_the_live_tree(self):
-        for tree in self.trees:
-            assert spare_problems(tree) == [], tree.mode
 
 
 SlidingTrees.TestCase.settings = settings(
