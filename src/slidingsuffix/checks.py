@@ -62,9 +62,9 @@ class Audit:
 
     * ``structure``: sibling lists, child indexes, and parent, key,
       depth, leaf-slot and suffix-link consistency, the bounds on the
-      lrs length, the node the tree holds as the one below its active
-      point (``tree.below``), and the spare lists: each spare listed
-      once and unlinked, and no leaf slot holding one;
+      lrs length, the active point (``tree.below``, ``tree.proj``), whose
+      locus must spell the window's last lrs symbols, and the spare lists:
+      each spare listed once and unlinked, and no leaf slot holding one;
     * ``topology``: the tree read back through its edge labels (``sketch``)
       against the oracle, and the lrs length against the oracle's;
     * ``freshness``: every edge's derived index pair lies inside the window
@@ -252,26 +252,17 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
             structure.append(f"suffix link of {_name(node)} targets a dead node")
         elif s is not None and strings[link] is not None and strings[link] != s[1:]:
             structure.append(f"suffix link of {_name(node)} spells the wrong string")
-    lrs = tree.lrs_len()
-    if not 0 <= lrs <= max(wlen - 1, 0):
+    # the active point: the locus is below itself when proj is 0, else proj
+    # symbols down the edge into below, counted from below's parent
+    below, proj = tree.below, tree.proj
+    ins = below if proj == 0 else getattr(below, "parent", None)
+    lrs = ins.depth + proj if ins in strings else None
+    if lrs is not None and not 0 <= lrs <= max(wlen - 1, 0):
         structure.append(f"lrs length {lrs} impossible for window of {wlen}")
-    below = tree.below
-    if below is not None:
-        # the node a fresh descent would return: ins itself on a node, else
-        # the child of ins keyed by the locus's first symbol below ins,
-        # whose edge runs past the locus
-        ins, proj = tree.ins, tree.proj
-        if proj == 0:
-            held = below is ins
-        else:
-            at = head - proj + 1
-            held = (below.parent is ins and tail <= at
-                    and below.key == tree.buf[(at - 1) % tree.capacity]
-                    and (head - below.spos + 1 if below.first is None
-                         else below.depth) - ins.depth > proj)
-        if not held:
-            structure.append(f"{_name(below)} is held as the node below the active "
-                             f"point, but a descent does not end there")
+    elif lrs is None or not _spells_window_suffix(tree, strings, below, proj, lrs):
+        name = "None" if below is None else _name(below)
+        structure.append(f"the active point ({name}, {proj}) does not spell a suffix "
+                         f"of the window")
 
     got = TreeSketch(tuple(sorted(s for s in strings.values() if s is not None)),
                      tuple(sorted(leaf_starts)))
@@ -284,9 +275,33 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
             topology.append(f"leaf starts {got.leaf_starts!r} != oracle "
                             f"{expected.leaf_starts!r}")
         want_lrs = wlen - len(expected.leaf_starts)
-        if lrs != want_lrs:
+        if lrs is not None and lrs != want_lrs:
             topology.append(f"lrs length {lrs} != oracle {want_lrs}")
     return Audit(got, structure, topology, freshness, pointers, counter_violations(tree))
+
+
+def _spells_window_suffix(tree, strings, below, proj, lrs) -> bool:
+    """Whether the locus proj symbols down the edge into below (below itself
+    when proj is 0) spells the window's last lrs symbols: below's path, a
+    leaf's read from the window and a node's from ``strings`` (None when
+    unknown), starts with them and, when proj > 0, is longer.  Symbols are
+    compared by index, so nothing is sliced from the ring."""
+    buf, cap, head = tree.buf, tree.capacity, tree.head
+    if isinstance(below, LeafNode):
+        path, at, length = buf, (below.spos - 1) % cap, head - below.spos + 1
+    elif below in strings:
+        path, at, length = strings[below], 0, below.depth
+        if path is None:
+            return True
+    else:
+        return False
+    if proj and length <= lrs:
+        return False
+    a = (head - lrs) % cap  # the ring is mirrored, so a + i needs no wrap
+    for i in range(lrs):
+        if path[at + i] != buf[a + i]:
+            return False
+    return True
 
 
 def counter_violations(tree) -> list:

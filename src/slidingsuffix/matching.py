@@ -14,7 +14,8 @@ Leaves correspond exactly to the suffixes longer than the longest repeating
 suffix (lrs), so a subtree traversal below the pattern's locus reports every
 occurrence starting at or before ``|W| - |lrs|``.  Occurrences starting
 inside the final lrs-sized stretch cannot be read off leaves; they are
-recovered from one extra lrs occurrence found through a leaf pointer:
+recovered from one extra lrs occurrence, read through ``tree.below``, the
+node at or below the lrs locus, so a query writes nothing to the tree:
 
 * pattern longer than lrs: no such occurrence can fit;
 * pattern exactly lrs-sized: the only candidate start is ``|W|-|lrs|+1``,
@@ -153,15 +154,15 @@ def find_all(tree, pattern, counted=False):
     else:
         out, walk = _collect(tree, node)
         edges += walk
-        lrs = tree.ins.depth + tree.proj
+        lrs = tree.lrs_len()
         p1 = wlen - lrs + 1
+        below = tree.below
         if m == lrs:
             # two strings of one length are equal iff their loci are, and
             # both searches stop at the node at or below the locus
-            if node is tree.canonize():
+            if node is below:
                 out.append(p1)
         elif m < lrs:
-            below = tree.canonize()
             lead = below if below.first is None else tree.maint.leaf_for(below)
             p2 = lead.spos - tail + 1
             if p2 >= p1:

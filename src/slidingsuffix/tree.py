@@ -59,24 +59,18 @@ and never exceeds the largest tree this window has held.  A steady slide
 then allocates and frees no node, so it gives the cyclic collector no
 cause to run.
 
-The active point (the locus of the longest repeating suffix) is represented
-by ``(ins, proj)``: the closest node at or above the locus and the number of
-symbols hanging below it.  The pending descent implied by ``proj`` is
-normalized lazily by `canonize`.  Because the tracked locus is always a
-suffix of the window, the first symbol of the edge below ``ins`` is the
-window symbol at ``head - proj + 1``.
-
-The tree also carries ``below``, the node `canonize` would return for the
-current ``(ins, proj)``, or None when that is unknown.  While ``below`` is
-set, ``(ins, proj)`` is exactly what `canonize` would leave: a locus that
-lands on a node is that node with ``proj == 0``.  Every operation that
-knows the node below the locus when it stops stores it: `canonize`, the end
-of a slide's append phase (the child it matched or the root it inserted
-under), and `delete_front` unless it shortens a leaf.  So a slide starts
-from the node the previous operation left: its deletion and the first
-sub-iteration of its append phase read ``below`` and do not descend.  Only
-a sub-iteration after a suffix-link hop, or the first one after a
-shortening, descends through `canonize`.
+The active point (the locus of the longest repeating suffix) is held as
+``(below, proj)``: ``below`` is the node at or below the locus, and ``proj``
+counts the symbols the locus lies down the edge into ``below``, 0 when the
+locus is ``below`` itself.  Ukkonen's ``ins``, the closest node at or above
+the locus, is derived into a local where needed: ``below`` when
+``proj == 0``, else ``below.parent``.  ``below`` is never None and every
+operation leaves the pair normal, so a slide's deletion and the first
+sub-iteration of its append phase read it and do not descend; `canonize`,
+the descent from an explicit ``(ins, proj)``, runs only after a suffix-link
+hop and in a deletion that shortens a leaf, which moves the locus.  The
+locus is a suffix of the window, so the first symbol of the edge it sits
+on is the window symbol at ``head - proj + 1``.
 """
 
 from __future__ import annotations
@@ -220,8 +214,8 @@ class SlidingSuffixTree:
     """Implicit suffix tree of the live window of a byte stream."""
 
     __slots__ = ("capacity", "tail", "head", "buf", "mode", "counters", "root",
-                 "ins", "proj", "below", "_leaf_slots", "_spare_leaves",
-                 "_spare_nodes", "maint")
+                 "proj", "below", "_leaf_slots", "_spare_leaves", "_spare_nodes",
+                 "maint")
 
     def __init__(self, capacity: int, mode: str = "plp"):
         if capacity < 1:
@@ -236,9 +230,8 @@ class SlidingSuffixTree:
         self.counters = Counters()
         maint_class = plp.PlpMaintenance if mode == "plp" else credit.CreditMaintenance
         self.root = maint_class.node_class(None, 0)
-        self.ins = self.root
         self.proj = 0
-        self.below = None  # the node canonize() would return, when known
+        self.below = self.root  # the node at or below the active point
         self._leaf_slots: list = [None] * capacity
         self._spare_leaves: list = []  # detached leaves, reused by `append`
         self._spare_nodes: list = []   # merged internal nodes, likewise
@@ -251,7 +244,9 @@ class SlidingSuffixTree:
 
     def lrs_len(self) -> int:
         """Length of the longest repeating suffix of the current window."""
-        return self.ins.depth + self.proj
+        proj = self.proj
+        below = self.below
+        return below.depth if proj == 0 else below.parent.depth + proj
 
     def substring(self, lo: int, hi: int) -> bytes:
         """Window bytes at absolute positions lo..hi inclusive (empty if lo > hi)."""
@@ -310,24 +305,19 @@ class SlidingSuffixTree:
 
     # -- active point -----------------------------------------------------
 
-    def canonize(self):
-        """Normalize ``(ins, proj)`` and return the node at or below the locus.
+    def canonize(self, ins, proj):
+        """Descend from node ``ins`` by ``proj`` symbols, the window's last.
 
-        Returns ``ins`` itself when the active point rests on a node,
-        otherwise the child at the far end of the edge the locus sits on.
-        The answer is stored in ``below``; while it is set, ``(ins, proj)``
-        is already normal and the call returns it without descending.
-        Otherwise it descends by edge lengths alone: the tracked string is
-        known to exist, so only the keys of siblings are examined.
+        Returns the normal ``(ins, proj, below)``: ``below`` is the node at
+        or below the locus, ``ins`` itself when the locus lands on a node
+        (then ``proj == 0``), otherwise the child at the far end of the edge
+        the locus sits on, with ``ins`` its parent.  It descends by edge
+        lengths alone: the tracked string is known to exist, so only the
+        keys of siblings are examined.  It reads and writes no active-point
+        field of the tree.
         """
-        below = self.below
-        if below is not None:
-            return below
-        proj = self.proj
-        ins = self.ins
         if proj == 0:
-            self.below = ins
-            return ins
+            return ins, 0, ins
         buf = self.buf
         cap = self.capacity
         head = self.head
@@ -355,10 +345,7 @@ class SlidingSuffixTree:
             if proj == 0:
                 child = ins
                 break
-        self.ins = ins
-        self.proj = proj
-        self.below = child
-        return child
+        return ins, proj, child
 
     # -- mutation ---------------------------------------------------------
 
@@ -379,14 +366,13 @@ class SlidingSuffixTree:
         the extended suffix already present (and stops) or inserts a new
         leaf, splitting an edge when the locus is mid-edge, then drops to
         the next shorter suffix via a suffix link.  The active point lives
-        in locals and is stored back only around `canonize` and at the end.
-        The first sub-iteration starts from ``below`` when it is set, as it
-        is after any operation but a shortening deletion, and does not
-        descend; ``below`` is cleared before each later descent.  The phase
-        stores the node below its final locus: the child it matched, the
-        node below a mid-edge match, or the root after a root insertion.  A
-        match that ends exactly on an internal node moves the active point
-        onto that node, so ``(ins, proj)`` stays normal.
+        in locals, ``ins`` derived from ``below``, and is stored at the end.
+        The first sub-iteration starts from ``below`` and does not descend;
+        a later one, after a suffix-link hop, descends through `canonize`.
+        The phase stores the node below its final locus: the child it
+        matched, the node below a mid-edge match, or the root after a root
+        insertion.  A match that ends exactly on an internal node moves the
+        active point onto that node, so the pair stays normal.
         """
         if type(sym) is not int or not 0 <= sym <= 255:
             sym = as_symbol(sym)
@@ -394,6 +380,8 @@ class SlidingSuffixTree:
         if self.head - self.tail + 1 >= cap:
             self.delete_front()
         below = self.below
+        proj = self.proj
+        ins = below if proj == 0 else below.parent
         head = self.head
         buf = self.buf
         slots = self._leaf_slots
@@ -401,19 +389,12 @@ class SlidingSuffixTree:
         root = self.root
         spare_leaves = self._spare_leaves
         spare_nodes = self._spare_nodes
-        ins = self.ins
-        proj = self.proj
         extensions = nodes = leaves = 0
         v = None  # node created/used last sub-iteration, owed a suffix link
         while True:
             extensions += 1
             if proj and below is None:
-                self.ins = ins
-                self.proj = proj
-                self.below = None
-                below = self.canonize()
-                ins = self.ins
-                proj = self.proj
+                ins, proj, below = self.canonize(ins, proj)
             if proj == 0:
                 # a miss stops at the last child, which the new leaf follows
                 last = None
@@ -506,7 +487,6 @@ class SlidingSuffixTree:
                 proj -= 1  # shed the first symbol of the tracked suffix
             else:
                 ins = ins.suffix_link
-        self.ins = ins
         self.proj = proj
         self.below = below
         counters = self.counters
@@ -517,7 +497,7 @@ class SlidingSuffixTree:
         buf[at] = buf[at + cap] = sym
         self.head = head + 1
 
-    def delete_front(self):
+    def delete_front(self) -> None:
         """Remove the oldest window symbol, updating the tree online.
 
         When the longest repeating suffix sits on the edge of the departing
@@ -529,30 +509,28 @@ class SlidingSuffixTree:
         a shortened leaf keeps its place in the tree.
 
         The deletion reads ``below`` to find out whether the locus sits on
-        the departing leaf's edge, and descends through `canonize` only
-        when ``below`` is unknown.  Unless the leaf is then shortened, which
-        moves the locus, the node at or below the locus stays there: when a
-        merge removes that node, or the node the locus is counted from, the
-        surviving child takes its place.  The deletion stores the result in
-        ``below`` and returns it: the node `canonize` would return after
-        the deletion, or None after a shortening.
+        the departing leaf's edge.  A shortening moves the locus to the
+        next shorter suffix and descends to it through `canonize`.
+        Otherwise the node at or below the locus stays there: when a merge
+        removes that node, or the node the locus is counted from, the
+        surviving child takes its place.  Either way ``below`` is left
+        normal for the next operation.
         """
         tail = self.tail
         if self.head < tail:
             raise ValueError("window is empty")
         below = self.below
-        if below is None:
-            below = self.canonize()
+        proj = self.proj
         cap = self.capacity
         slots = self._leaf_slots
         slot = (tail - 1) % cap
         u = slots[slot]
         w = u.parent
         if u is below:
-            # the departing prefix and the repeating suffix share this edge:
-            # move the leaf, keeping its identity, to the lrs occurrence
-            ins = self.ins
-            new_spos = self.head - (ins.depth + self.proj) + 1
+            # the departing prefix and the repeating suffix share this edge,
+            # so the locus is proj symbols below w: move the leaf, keeping
+            # its identity, to the lrs occurrence
+            new_spos = self.head - (w.depth + proj) + 1
             new_slot = (new_spos - 1) % cap
             if slots[new_slot] is not None:
                 raise InvariantError(f"leaf slot of start {new_spos} is taken")
@@ -561,11 +539,14 @@ class SlidingSuffixTree:
             u.spos = new_spos
             if self.maint.on_leaf_shortened is not None:
                 self.maint.on_leaf_shortened(u, w)
+            ins = w
             if ins is self.root:
-                self.proj -= 1
+                proj -= 1
             else:
-                self.ins = ins.suffix_link
-            below = None
+                ins = ins.suffix_link
+            below = ins
+            if proj:
+                _, proj, below = self.canonize(ins, proj)
         else:
             # a non-root node merges away when u is one of its two children
             merges = w is not self.root and w.first.sibling.sibling is None
@@ -578,10 +559,9 @@ class SlidingSuffixTree:
                 if y is u:
                     y = u.sibling
                 x = w.parent
-                if self.ins is w:
-                    # the locus representation counted from w; re-anchor it
-                    self.proj += w.depth - x.depth
-                    self.ins = x
+                if (below if proj == 0 else below.parent) is w:
+                    # the locus was counted from w; count it from x
+                    proj += w.depth - x.depth
                     below = y
                 elif below is w:
                     below = y
@@ -607,8 +587,8 @@ class SlidingSuffixTree:
             self._spare_leaves.append(u)
             self.counters.leaves_deleted += 1
         self.tail = tail + 1
+        self.proj = proj
         self.below = below
-        return below
 
     def extend(self, data) -> None:
         slide = self.slide

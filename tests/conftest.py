@@ -15,6 +15,12 @@ def build(text, capacity=None, mode="plp"):
     return tree
 
 
+def active_ins(tree):
+    """The closest node at or above the tree's active point: ``below`` when
+    the locus is on it (``proj == 0``), otherwise ``below``'s parent."""
+    return tree.below if tree.proj == 0 else tree.below.parent
+
+
 def is_primary(x) -> bool:
     """Whether a plp node or leaf is primary: a leaf holds an inverse
     pointer, an internal node (the root included) holds no pointer."""

@@ -9,7 +9,7 @@ from slidingsuffix import SlidingSuffixTree, checks, cli, oracle
 from slidingsuffix.tree import WIDE, LeafNode
 from slidingsuffix.verify import Lcg
 
-from conftest import build, is_primary
+from conftest import active_ins, build, is_primary
 
 MODES = ("plp", "credit")
 
@@ -174,7 +174,8 @@ def test_broken_shape_is_a_structure_finding(mode):
     assert_reported(tree, "structure", node, "suffix_link", type(node)(None, node.depth - 1),
                     f"suffix link of {name(node)} targets a dead node")
     wlen = len(tree)
-    assert_reported(tree, "structure", tree, "proj", wlen - tree.ins.depth,
+    assert tree.proj > 0
+    assert_reported(tree, "structure", tree, "proj", wlen - active_ins(tree).depth,
                     f"lrs length {wlen} impossible for window of {wlen}")
 
 
@@ -262,23 +263,27 @@ def test_audit_slices_internal_labels_only(mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_wrong_node_below_the_active_point_is_a_structure_finding(mode):
-    def held(node):
-        return (f"{checks._name(node)} is held as the node below the active "
-                f"point, but a descent does not end there")
+    def held(node, proj):
+        name = "None" if node is None else checks._name(node)
+        return f"the active point ({name}, {proj}) does not spell a suffix of the window"
 
     # slid so that the locus sits mid-edge below a node other than the root
     tree = build("xabcabdabcabeabcabdab", capacity=16, mode=mode)
     assert tree.tail > 1 and checks.audit(tree).violations() == []
-    ins, below = tree.ins, tree.below
-    assert tree.proj > 0 and ins is not tree.root and below.parent is ins
+    ins, below, proj = active_ins(tree), tree.below, tree.proj
+    assert proj > 0 and ins is not tree.root and below.parent is ins
     sibling = next(k for k in kids(ins) if k is not below)
-    for wrong in (sibling, ins.parent):
-        assert_reported(tree, "structure", tree, "below", wrong, held(wrong))
+    for wrong in (sibling, ins.parent, None):
+        assert_reported(tree, "structure", tree, "below", wrong, held(wrong, proj))
     # on a node, the held node is that node
     tree = build("abcabdabcabeabcabdabcabx", capacity=16, mode=mode)
-    assert tree.proj == 0 and tree.below is tree.ins
-    child = tree.ins.first
-    assert_reported(tree, "structure", tree, "below", child, held(child))
+    assert tree.proj == 0 and tree.below is tree.root
+    for wrong in (*kids(tree.root)[:2], None):
+        assert_reported(tree, "structure", tree, "below", wrong, held(wrong, 0))
+    # a spare of either kind holds no place in the tree
+    tree = wide_tree(mode)
+    for wrong in (tree._spare_leaves[0], tree._spare_nodes[0]):
+        assert_reported(tree, "structure", tree, "below", wrong, held(wrong, tree.proj))
 
 
 @pytest.mark.parametrize("mode", MODES)

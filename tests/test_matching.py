@@ -293,3 +293,33 @@ def test_queries_across_the_ring_buffer_seam(mode, sigma):
                 assert tree.find_all(p) == naive_occurrences(w, p), (cap, w, p)
                 crossed += _compares_across_seam(tree, p)
     assert crossed > 0
+
+
+@pytest.mark.parametrize("mode", ["plp", "credit"])
+def test_queries_never_write_the_active_point(mode):
+    # a deletion that shortens a leaf moves the active point; the queries
+    # after it, as after any event, read the pair the tree holds and leave
+    # it as they found it, whether the pattern is longer than, as long as
+    # or shorter than the lrs
+    shortenings = 0
+    for seed in range(1, 41):
+        rng = Lcg(seed)
+        sigma = 1 + (seed - 1) % 3
+        cap = 4 + rng.draw(9)
+        tree = SlidingSuffixTree(cap, mode=mode)
+        for step in range(8 * cap):
+            if len(tree) and rng.draw(3) == 0:
+                deleted = tree.counters.leaves_deleted
+                tree.delete_front()
+                shortenings += tree.counters.leaves_deleted == deleted
+            else:
+                tree.slide(97 + rng.draw(sigma))
+            w = tree.window_bytes()
+            lrs = tree.lrs_len()
+            below, proj = tree.below, tree.proj
+            for m in (lrs + 1, lrs, lrs - 1):
+                if 0 < m <= len(w):
+                    p = w[len(w) - m:]
+                    assert tree.find_all(p) == naive_occurrences(w, p), (seed, step, p)
+                    assert tree.below is below and tree.proj == proj, (seed, step, p)
+    assert shortenings > 0

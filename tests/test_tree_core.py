@@ -1,4 +1,3 @@
-import copy
 import gc
 import os
 import subprocess
@@ -16,7 +15,7 @@ from slidingsuffix.tree import WIDE, InternalNode, LeafNode
 from slidingsuffix.oracle import naive_occurrences, naive_suffix_tree
 from slidingsuffix.verify import Lcg
 
-from conftest import build, naive_lrs, node_by_string
+from conftest import active_ins, build, naive_lrs, node_by_string
 
 
 # -- construction ----------------------------------------------------------
@@ -24,6 +23,7 @@ from conftest import build, naive_lrs, node_by_string
 def test_new_tree_is_root_only():
     tree = SlidingSuffixTree(5, mode="plp")
     assert tree.lrs_len() == 0
+    assert tree.below is tree.root and tree.proj == 0
     assert sum(1 for _ in tree.iter_nodes()) == 1
     assert len(tree) == 0
 
@@ -72,7 +72,7 @@ def test_append_to_empty_tree():
     tree = SlidingSuffixTree(3)
     tree.append("q")
     assert checks.audit(tree).sketch == naive_suffix_tree(b"q")
-    assert (tree.ins is tree.root) and tree.proj == 0
+    assert tree.below is tree.root and tree.proj == 0
 
 
 def test_append_creating_several_leaves_at_once():
@@ -175,26 +175,33 @@ def test_every_internal_node_gets_suffix_link():
 
 def test_canonize_identity_when_on_node():
     tree = build("ab")
-    assert tree.proj == 0
-    assert tree.canonize() is tree.ins
+    assert tree.proj == 0 and tree.below is tree.root
+    assert tree.canonize(tree.root, 0) == (tree.root, 0, tree.root)
 
 
 def test_canonize_descends_to_existing_node():
     tree = build("abaca")
     # the tracked suffix "a" is spelled by an internal node one edge down
     assert tree.lrs_len() == 1
-    got = tree.canonize()
-    assert got is tree.ins
-    assert got is node_by_string(tree, "a")
-    assert tree.proj == 0
+    node_a = node_by_string(tree, "a")
+    assert tree.canonize(tree.root, 1) == (node_a, 0, node_a)
+    assert tree.below is node_a and tree.proj == 0
 
 
 def test_canonize_stays_put_on_long_leaf_edge():
     tree = build("aaaa")
     assert tree.lrs_len() == 3
-    got = tree.canonize()
-    assert tree.ins is tree.root and tree.proj == 3
-    assert got.children is None and got.spos == 1
+    ins, proj, below = tree.canonize(tree.root, 3)
+    assert ins is tree.root and proj == 3
+    assert below.children is None and below.spos == 1
+    assert tree.below is below and tree.proj == 3
+
+
+def test_canonize_writes_no_active_point_field():
+    tree = build("abcabxab")
+    below, proj = tree.below, tree.proj
+    assert tree.canonize(tree.root, 1)[2] is not below
+    assert tree.below is below and tree.proj == proj
 
 
 # -- delete_front -------------------------------------------------------------
@@ -203,13 +210,13 @@ def test_delete_keeps_moved_locus_representation():
     tree = build("axazaz")
     assert tree.lrs_len() == 2  # "az"
     node_a = node_by_string(tree, "a")
-    assert tree.canonize().children is None and tree.ins is node_a
+    assert tree.below.children is None and active_ins(tree) is node_a
     tree.delete_front()
     # same repeating suffix, but its locus is now counted from the root
     # because the edge it sat on was merged
     assert tree.window_bytes() == b"xazaz"
     assert tree.lrs_len() == 2
-    assert tree.ins is tree.root and tree.proj == 2
+    assert active_ins(tree) is tree.root and tree.proj == 2
     assert checks.audit(tree).sketch == naive_suffix_tree(b"xazaz")
 
 
@@ -250,38 +257,34 @@ def test_delete_to_empty_and_refill():
 
 @pytest.mark.parametrize("mode", ["plp", "credit"])
 def test_slide_matches_delete_front_then_append(mode):
-    # a slide starts from the node below the locus that the tree carries;
-    # `fresh` forgets that node before each append, so it descends afresh.
-    # The two trees must stay alike, and every carried node must be the one
-    # a descent with the field cleared finds
+    # a slide starts from the node below the locus that the tree carries,
+    # which each operation leaves for the next; the two trees must stay
+    # alike, and after every operation the carried pair must be what a
+    # descent from the root by the lrs length finds
     def assert_carried(tree, where):
-        probe = copy.deepcopy(tree)
-        held, ins, proj = probe.below, probe.ins, probe.proj
-        probe.below = None
-        assert probe.canonize() is held, where
-        assert probe.ins is ins and probe.proj == proj, where
+        assert tree.below is not None, where
+        held = (active_ins(tree), tree.proj, tree.below)
+        assert tree.canonize(tree.root, tree.lrs_len()) == held, where
 
     for seed in range(1, 81):
         rng = Lcg(seed)
         sigma = 1 + (seed - 1) % 4
         cap = 2 + rng.draw(19)
-        hinted = SlidingSuffixTree(cap, mode=mode)
-        fresh = SlidingSuffixTree(cap, mode=mode)
+        slid = SlidingSuffixTree(cap, mode=mode)
+        stepped = SlidingSuffixTree(cap, mode=mode)
         for step in range(6 * cap):
             sym = 97 + rng.draw(sigma)
-            hinted.slide(sym)
+            slid.slide(sym)
             where = (seed, step)
-            assert hinted.below is not None, where
-            assert_carried(hinted, where)
-            if len(fresh) == cap:
-                below = fresh.delete_front()
-                fresh.below = None
-                assert below is None or below is fresh.canonize(), where
-            fresh.below = None
-            fresh.append(sym)
-            assert hinted.stats() == fresh.stats(), where
-            assert hinted.window_bytes() == fresh.window_bytes(), where
-            assert checks.audit(hinted).violations() == [], where
+            assert_carried(slid, where)
+            if len(stepped) == cap:
+                stepped.delete_front()
+                assert_carried(stepped, where)
+            stepped.append(sym)
+            assert_carried(stepped, where)
+            assert slid.stats() == stepped.stats(), where
+            assert slid.window_bytes() == stepped.window_bytes(), where
+            assert checks.audit(slid).violations() == [], where
 
 
 @pytest.mark.parametrize("mode", ["plp", "credit"])
@@ -307,8 +310,8 @@ def test_slide_deletes_through_the_class_attribute(mode, monkeypatch):
 @pytest.mark.parametrize("mode", ["plp", "credit"])
 def test_no_slide_starts_with_a_descent(mode, monkeypatch):
     # a slide's deletion and its first sub-iteration read the carried node,
-    # so only sub-iterations after a suffix-link hop, or the first after a
-    # shortening deletion (which deletes no leaf), may descend
+    # so only sub-iterations after a suffix-link hop, and a shortening
+    # deletion (which deletes no leaf), may descend
     cap = 4096
     tree = SlidingSuffixTree(cap, mode=mode)
     rng = Lcg(17)
@@ -317,10 +320,10 @@ def test_no_slide_starts_with_a_descent(mode, monkeypatch):
     real = SlidingSuffixTree.canonize
     calls = 0
 
-    def counted(self):
+    def counted(self, *args):
         nonlocal calls
         calls += 1
-        return real(self)
+        return real(self, *args)
 
     monkeypatch.setattr(SlidingSuffixTree, "canonize", counted)
     c = tree.counters
