@@ -70,7 +70,16 @@ sub-iteration of its append phase read it and do not descend; `canonize`,
 the descent from an explicit ``(ins, proj)``, runs only after a suffix-link
 hop and in a deletion that shortens a leaf, which moves the locus.  The
 locus is a suffix of the window, so the first symbol of the edge it sits
-on is the window symbol at ``head - proj + 1``.
+on is the window symbol at ``head - proj + 1``.  The symbol after a
+mid-edge locus of length ``l`` is read at ``k + l``, where ``k`` is an
+occurrence of its string found through a leaf pointer; an append phase
+does that at most once.  Its later mid-edge loci are that string less
+leading symbols, which occur at ``k + 1``, ``k + 2``, ... and so are
+followed by the same symbol, and nothing is deleted within a phase; a
+mid-edge locus has one continuation, so that symbol is the tree's.  The
+symbol is not kept from one slide to the next: the deletion in between
+may retire occurrence ``k``, so keeping it would take a field on the tree
+and a liveness check in every slide.
 """
 
 from __future__ import annotations
@@ -369,10 +378,15 @@ class SlidingSuffixTree:
         in locals, ``ins`` derived from ``below``, and is stored at the end.
         The first sub-iteration starts from ``below`` and does not descend;
         a later one, after a suffix-link hop, descends through `canonize`.
-        The phase stores the node below its final locus: the child it
-        matched, the node below a mid-edge match, or the root after a root
-        insertion.  A match that ends exactly on an internal node moves the
-        active point onto that node, so the pair stays normal.
+        Every mid-edge sub-iteration comes before every node one, so only
+        a phase that starts mid-edge has any; it reads the symbol after
+        that first locus through a leaf pointer, once, and each mid-edge
+        sub-iteration compares it with ``sym`` and, on a mismatch, hangs
+        the split child under it.  The phase stores the node below
+        its final locus: the child it matched, the node below a mid-edge
+        match, or the root after a root insertion.  A match that ends
+        exactly on an internal node moves the active point onto that node,
+        so the pair stays normal.
         """
         if type(sym) is not int or not 0 <= sym <= 255:
             sym = as_symbol(sym)
@@ -381,7 +395,6 @@ class SlidingSuffixTree:
             self.delete_front()
         below = self.below
         proj = self.proj
-        ins = below if proj == 0 else below.parent
         head = self.head
         buf = self.buf
         slots = self._leaf_slots
@@ -389,6 +402,14 @@ class SlidingSuffixTree:
         root = self.root
         spare_leaves = self._spare_leaves
         spare_nodes = self._spare_nodes
+        if proj == 0:
+            ins = below
+        else:
+            ins = below.parent
+            # the symbol after this locus follows every later mid-edge locus
+            # of the phase too (see the module docstring): read it once
+            lead = below if below.first is None else maint.leaf_for(below)
+            mid = buf[(lead.spos + ins.depth + proj - 1) % cap]
         extensions = nodes = leaves = 0
         v = None  # node created/used last sub-iteration, owed a suffix link
         while True:
@@ -422,15 +443,12 @@ class SlidingSuffixTree:
                 w = ins
                 split_child = None
             else:
-                if below.first is None:
-                    edge_start = below.spos + ins.depth
-                else:
-                    edge_start = maint.leaf_for(below).spos + ins.depth
-                mid = buf[(edge_start + proj - 1) % cap]
                 if mid == sym:
-                    # extended suffix already present mid-edge; had a node
-                    # been created last sub-iteration this locus would be a
-                    # node, so no suffix link can be pending
+                    # extended suffix already present mid-edge: a match ends
+                    # the phase at its first mid-edge locus, which no other
+                    # sub-iteration precedes, and at every later one the
+                    # symbol has already mismatched, so no suffix link can
+                    # be pending
                     if v is not None:
                         raise InvariantError("suffix link pending at a mid-edge locus")
                     proj += 1

@@ -260,22 +260,30 @@ def test_slide_matches_delete_front_then_append(mode):
     # a slide starts from the node below the locus that the tree carries,
     # which each operation leaves for the next; the two trees must stay
     # alike, and after every operation the carried pair must be what a
-    # descent from the root by the lrs length finds
+    # descent from the root by the lrs length finds.  Binary runs as long
+    # as the window end in leaf bursts that split several edges per phase
     def assert_carried(tree, where):
         assert tree.below is not None, where
         held = (active_ins(tree), tree.proj, tree.below)
         assert tree.canonize(tree.root, tree.lrs_len()) == held, where
 
-    for seed in range(1, 81):
-        rng = Lcg(seed)
-        sigma = 1 + (seed - 1) % 4
-        cap = 2 + rng.draw(19)
+    def streams():
+        for seed in range(1, 81):
+            rng = Lcg(seed)
+            sigma = 1 + (seed - 1) % 4
+            cap = 2 + rng.draw(19)
+            yield seed, cap, bytes(97 + rng.draw(sigma) for _ in range(6 * cap))
+        for seed in range(1, 41):
+            rng = Lcg(seed)
+            cap = 2 + rng.draw(39)
+            yield ("runs", seed), cap, bursty_runs(rng, 6 * cap, cap)
+
+    for label, cap, data in streams():
         slid = SlidingSuffixTree(cap, mode=mode)
         stepped = SlidingSuffixTree(cap, mode=mode)
-        for step in range(6 * cap):
-            sym = 97 + rng.draw(sigma)
+        for step, sym in enumerate(data):
             slid.slide(sym)
-            where = (seed, step)
+            where = (label, step)
             assert_carried(slid, where)
             if len(stepped) == cap:
                 stepped.delete_front()
@@ -331,6 +339,35 @@ def test_no_slide_starts_with_a_descent(mode, monkeypatch):
     for _ in range(cap):
         tree.slide(97 + rng.draw(4))
     assert 0 < calls <= (c.explicit_extensions - extensions) - (c.leaves_deleted - deleted)
+
+
+@pytest.mark.parametrize("mode", ["plp", "credit"])
+def test_a_slide_reads_at_most_one_leaf_pointer(mode, monkeypatch):
+    # each mid-edge locus of a phase is the first one less leading symbols,
+    # followed by the same window symbol, so a phase reads that symbol
+    # through a leaf pointer once; a leaf burst at a run's end splits edges
+    # in several of its sub-iterations
+    cap = 256
+    tree = SlidingSuffixTree(cap, mode=mode)
+    real = type(tree.maint).leaf_for
+    calls = 0
+
+    def counted(self, node):
+        nonlocal calls
+        calls += 1
+        return real(self, node)
+
+    monkeypatch.setattr(type(tree.maint), "leaf_for", counted)
+    c = tree.counters
+    most_reads = most_splits = 0
+    for sym in bursty_runs(Lcg(5), 4 * cap, cap // 2):
+        calls = 0
+        nodes = c.nodes_created
+        tree.slide(sym)
+        most_reads = max(most_reads, calls)
+        most_splits = max(most_splits, c.nodes_created - nodes)
+    assert most_reads <= 1
+    assert most_splits >= 3
 
 
 def test_tree_has_no_instance_dict():
