@@ -282,26 +282,23 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
 
 def _spells_window_suffix(tree, strings, below, proj, lrs) -> bool:
     """Whether the locus proj symbols down the edge into below (below itself
-    when proj is 0) spells the window's last lrs symbols: below's path, a
-    leaf's read from the window and a node's from ``strings`` (None when
-    unknown), starts with them and, when proj > 0, is longer.  Symbols are
-    compared by index, so nothing is sliced from the ring."""
-    buf, cap, head = tree.buf, tree.capacity, tree.head
+    when proj is 0) spells the window's last lrs symbols: below's path
+    starts with them and, when proj > 0, is longer.  A leaf's path is a
+    memoryview of the ring from its start, which copies nothing; a node's
+    is its string in ``strings`` (None when unknown)."""
+    ring, cap, head = memoryview(tree.buf), tree.capacity, tree.head
     if isinstance(below, LeafNode):
-        path, at, length = buf, (below.spos - 1) % cap, head - below.spos + 1
+        path, length = ring[(below.spos - 1) % cap:], head - below.spos + 1
     elif below in strings:
-        path, at, length = strings[below], 0, below.depth
+        path, length = strings[below], below.depth
         if path is None:
             return True
     else:
         return False
     if proj and length <= lrs:
         return False
-    a = (head - lrs) % cap  # the ring is mirrored, so a + i needs no wrap
-    for i in range(lrs):
-        if path[at + i] != buf[a + i]:
-            return False
-    return True
+    a = (head - lrs) % cap  # the ring is mirrored, so the slice needs no wrap
+    return path[:lrs] == ring[a:a + lrs]
 
 
 def counter_violations(tree) -> list:

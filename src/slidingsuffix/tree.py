@@ -66,10 +66,12 @@ locus is ``below`` itself.  Ukkonen's ``ins``, the closest node at or above
 the locus, is derived into a local where needed: ``below`` when
 ``proj == 0``, else ``below.parent``.  ``below`` is never None and every
 operation leaves the pair normal, so a slide's deletion and the first
-sub-iteration of its append phase read it and do not descend; `canonize`,
-the descent from an explicit ``(ins, proj)``, runs only after a suffix-link
-hop and in a deletion that shortens a leaf, which moves the locus.  The
-locus is a suffix of the window, so the first symbol of the edge it sits
+sub-iteration of its append phase read it and do not descend.  `canonize`,
+the descent from an explicit ``(ins, proj)``, runs only where the locus
+moves: right after a suffix-link hop or a shed of the first symbol at the
+root, and in a deletion that shortens a leaf.  So every sub-iteration of a
+phase starts from a normal pair too, and one at a node reads only ``ins``.
+The locus is a suffix of the window, so the first symbol of the edge it sits
 on is the window symbol at ``head - proj + 1``.  The symbol after a
 mid-edge locus of length ``l`` is read at ``k + l``, where ``k`` is an
 occurrence of its string found through a leaf pointer; an append phase
@@ -376,8 +378,11 @@ class SlidingSuffixTree:
         leaf, splitting an edge when the locus is mid-edge, then drops to
         the next shorter suffix via a suffix link.  The active point lives
         in locals, ``ins`` derived from ``below``, and is stored at the end.
-        The first sub-iteration starts from ``below`` and does not descend;
-        a later one, after a suffix-link hop, descends through `canonize`.
+        The first sub-iteration starts from the stored pair; each hop (a
+        suffix link, or a shed symbol at the root) is followed at once by
+        `canonize` when the locus is left mid-edge, so a mid-edge
+        sub-iteration starts from the ``below`` that gives it, and one at a
+        node reads only ``ins``.
         Every mid-edge sub-iteration comes before every node one, so only
         a phase that starts mid-edge has any; it reads the symbol after
         that first locus through a leaf pointer, once, and each mid-edge
@@ -410,12 +415,9 @@ class SlidingSuffixTree:
             # of the phase too (see the module docstring): read it once
             lead = below if below.first is None else maint.leaf_for(below)
             mid = buf[(lead.spos + ins.depth + proj - 1) % cap]
-        extensions = nodes = leaves = 0
+        nodes = leaves = 0
         v = None  # node created/used last sub-iteration, owed a suffix link
         while True:
-            extensions += 1
-            if proj and below is None:
-                ins, proj, below = self.canonize(ins, proj)
             if proj == 0:
                 # a miss stops at the last child, which the new leaf follows
                 last = None
@@ -434,10 +436,8 @@ class SlidingSuffixTree:
                 if child is not None:
                     if v is not None:
                         v.suffix_link = ins
-                    if child.first is not None and child.depth == ins.depth + 1:
-                        ins = child  # the locus is the child itself
-                    else:
-                        proj = 1
+                    if child.first is None or child.depth != ins.depth + 1:
+                        proj = 1  # else the locus is the child itself
                     below = child
                     break
                 w = ins
@@ -453,8 +453,7 @@ class SlidingSuffixTree:
                         raise InvariantError("suffix link pending at a mid-edge locus")
                     proj += 1
                     if below.first is not None and below.depth == ins.depth + proj:
-                        ins = below
-                        proj = 0
+                        proj = 0  # the locus is below itself
                     break
                 # split the edge ins -> below at the locus: w takes below's
                 # place and key among ins's children, and below hangs from
@@ -474,7 +473,6 @@ class SlidingSuffixTree:
                 below.key = mid
                 nodes += 1
                 split_child = below
-            below = None
             spos = head + 1 - w.depth
             if spare_leaves:
                 u = spare_leaves.pop()
@@ -505,10 +503,14 @@ class SlidingSuffixTree:
                 proj -= 1  # shed the first symbol of the tracked suffix
             else:
                 ins = ins.suffix_link
+            if proj:
+                ins, proj, below = self.canonize(ins, proj)
         self.proj = proj
         self.below = below
         counters = self.counters
-        counters.explicit_extensions += extensions
+        # every sub-iteration inserts a leaf but a match, which ends the
+        # phase below the root; a phase that ends at the root inserts there
+        counters.explicit_extensions += leaves + (below is not root)
         counters.nodes_created += nodes
         counters.leaves_created += leaves
         at = head % cap

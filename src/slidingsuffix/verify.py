@@ -173,11 +173,7 @@ def build_insertion_worstcase(n: int, mode: str) -> SlidingSuffixTree:
     if n < 2:
         raise ValueError("n must be >= 2")
     tree = SlidingSuffixTree(2 * n + 1, mode=mode)
-    for _ in range(n):
-        tree.append(ord('a'))
-    tree.append(ord('b'))
-    for _ in range(n - 1):
-        tree.append(ord('a'))
+    tree.extend(b"a" * n + b"b" + b"a" * (n - 1))
     return tree
 
 
@@ -186,9 +182,7 @@ def build_deletion_worstcase(n: int, mode: str) -> SlidingSuffixTree:
     if n < 2:
         raise ValueError("n must be >= 2")
     tree = SlidingSuffixTree(n + 1, mode=mode)
-    for _ in range(n):
-        tree.append(ord('a'))
-    tree.append(ord('b'))
+    tree.extend(b"a" * n + b"b")
     return tree
 
 

@@ -92,6 +92,30 @@ def test_stream_modes_agree_on_topology_counters(tmp_path, capsys):
         assert plp[key] == credit[key]
 
 
+def test_stream_check_every_stops_at_the_first_finding(tmp_path, capsys, monkeypatch):
+    # the audit finds nothing at byte K and one fault at byte 2K: the stream
+    # stops there with the failure object and gives no final report
+    path = tmp_path / "t.bin"
+    path.write_bytes(b"abacabadabacabae" * 4)
+    real = cli.checks.audit
+    calls = 0
+
+    def audit(tree, expected=None):
+        nonlocal calls
+        calls += 1
+        found = real(tree, expected)
+        if calls == 2:
+            found.structure.append("injected finding")
+        return found
+
+    monkeypatch.setattr(cli.checks, "audit", audit)
+    code, lines = run_cli(capsys, "stream", str(path), "--window", "8",
+                          "--check-every", "7")
+    assert code == 1
+    assert lines == [{"ok": False, "at_byte": 14, "violations": ["injected finding"]}]
+    assert calls == 2
+
+
 def interact(lines, window=8, mode="plp"):
     proc = subprocess.run(
         [sys.executable, "-m", "slidingsuffix", "interact",
