@@ -90,7 +90,7 @@ class CreditMaintenance:
         # the shortened leaf counts as newly created and credits its parent
         self.update(w, u.spos)
 
-    def on_leaf_deleting(self, u, w, merges):
+    def on_leaf_deleting(self, u, w, y, merges):
         # a credit held by a w that merges away passes to its parent, so no
         # information is lost
         if merges and w.cred:

@@ -136,22 +136,19 @@ class PlpMaintenance:
         if 2 > c.plp_field_writes_max_event:
             c.plp_field_writes_max_event = 2
 
-    def on_leaf_deleting(self, u, w, merges):
+    def on_leaf_deleting(self, u, w, y, merges):
         """Restore the invariants before leaf u detaches from w.
 
         Called while u is still attached; the caller afterwards removes u
         and, if ``merges``, merges w away, which needs no repair beyond the
         case analysis here.  The root is an ordinary secondary node that
         never merges: its primary leaf's ``plp_inv`` names it like any other
-        path head.  The child y promoted in u's place, or left by a merge,
-        is w's first child other than u: one sibling read at most.  A
-        promotion writes 2 fields for a leaf y and 3 for a node, a merge 1
-        or 2.  Every write changes a field, so the count is exactly the
-        writes made.
+        path head.  The tree names ``y``, w's first child other than u (None
+        when u is w's only child), the child a merge lifts, so the hook reads
+        no sibling and only writes pointers: 2 fields to promote a leaf y, 3
+        a node, 1 or 2 for a merge.  Every write changes a field, so the
+        count is exactly the writes made.
         """
-        y = w.first
-        if y is u:
-            y = u.sibling  # None when u is w's only child
         merges = merges and w.plp is not None  # a primary w's path goes on through y
         z = u.plp_inv
         if z is not None:

@@ -1,6 +1,8 @@
 import importlib.util
+import os
 from pathlib import Path
 
+import slidingsuffix
 from slidingsuffix import SlidingSuffixTree
 from slidingsuffix.tree import LeafNode
 
@@ -27,6 +29,15 @@ def is_primary(x) -> bool:
     if isinstance(x, LeafNode):
         return x.plp_inv is not None
     return x.plp is None
+
+
+def subprocess_env() -> dict:
+    """``os.environ`` with the imported package's ``src`` first on
+    ``PYTHONPATH``, so a child interpreter imports the package under test
+    even where only pytest's own ``pythonpath`` setting put it in reach."""
+    src = str(Path(slidingsuffix.__file__).resolve().parents[1])
+    rest = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + rest if rest else src)
 
 
 def load_perfbench(name: str):

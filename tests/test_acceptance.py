@@ -78,9 +78,7 @@ def _drive_seed(seed: int, out: SweepOutcome):
             elif m == lrs:
                 out.case_coverage.add("equal")
             else:
-                below = plp.below
-                lead = below if below.children is None else plp.leafptr(below)
-                p2 = lead.spos - plp.tail + 1
+                p2 = plp.leafptr(plp.below).spos - plp.tail + 1
                 overlap = p2 + lrs - 1 >= len(plp) - lrs + 1
                 out.case_coverage.add("short-overlap" if overlap else "short-clear")
         if entry != "-":

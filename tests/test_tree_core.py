@@ -1,21 +1,18 @@
 import gc
-import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import slidingsuffix
 from slidingsuffix import SlidingSuffixTree
 from slidingsuffix import checks
 from slidingsuffix.tree import WIDE, InternalNode, LeafNode
 from slidingsuffix.oracle import naive_occurrences, naive_suffix_tree
 from slidingsuffix.verify import Lcg
 
-from conftest import active_ins, build, naive_lrs, node_by_string
+from conftest import active_ins, build, naive_lrs, node_by_string, subprocess_env
 
 
 # -- construction ----------------------------------------------------------
@@ -660,7 +657,6 @@ def test_invariant_checks_survive_python_O():
         "except InvariantError as exc:",
         "    print('refused:', exc)",
     ])
-    env = dict(os.environ, PYTHONPATH=str(Path(slidingsuffix.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=subprocess_env(),
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "refused: leaf slot of start 4 is taken"
