@@ -5,7 +5,8 @@ returns its findings grouped by family; every family empty means the tree
 is sound.  Findings are human-readable strings, so callers can aggregate
 across events and report the first failure with context.  These checks
 are deliberately written against the window text and the brute-force
-oracle, not against the incremental machinery they are auditing.
+oracle, not against the incremental machinery they are auditing, and
+each leaf pointer is checked where it derives an edge, node by node.
 """
 
 from __future__ import annotations
@@ -69,8 +70,9 @@ class Audit:
       against the oracle, and the lrs length against the oracle's;
     * ``freshness``: every edge's derived index pair lies inside the window
       together with the parent's string in front of it;
-    * ``pointers``: plp pointers and the paths they encode, or credit
-      pointer liveness;
+    * ``pointers``: each internal edge's deriving leaf lies below it, plp
+      path heads and their inverse pointers agree, one child per node is
+      primary, and credit starts name live leaves;
     * ``counters``: the per-event write bound and the linear-churn bound.
     """
 
@@ -102,17 +104,27 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
     there left unknown, so the pointer checks cover the whole tree.  A
     spare the live tree still reaches is found through the link that
     reaches it: a broken parent link, an index that does not list its
-    node's children, a dead suffix-link target, or a missed path end.
+    node's children, a dead suffix-link target, or a head's pointer to a
+    leaf that no slot holds.
 
-    In plp mode primary-ness is read from the pointers: a node is primary
-    when it holds no pointer, a leaf when it holds an inverse pointer.  The
-    walk carries down the secondary node heading the current primary path,
-    so each primary leaf is checked against the one node whose pointer
-    must target it; each node with children must have exactly one primary
-    child, and path heads and primary leaves must pair up one to one.  In
-    credit mode each stored leaf must lie inside the node's subtree: leaves
-    are ranked in walk order, and a marker pushed under a node's children
-    compares the rank once the subtree is done.
+    Pointers are checked locally, with no walk bookkeeping.  (1) Each
+    internal edge's ``<lo, hi>`` comes from the leaf ``maint.leaf_for``
+    names for the child (credit: ``lp``; plp: the head's pointer, or a
+    secondary child's); at ``k = lo - depth`` the window must spell the
+    parent's string, then the child's key (through a memoryview of the
+    ring), so that leaf lies below the child.  (2) In plp mode each path
+    head v, a node with children holding a pointer, points at a live leaf
+    (by its slot) whose ``plp_inv`` is v.  A node is primary when it holds
+    no pointer, a leaf when it holds an inverse pointer; each node with
+    children has exactly one primary child, and the root stays secondary.
+
+    So each head names its own path end.  Heads and primary leaves are
+    equally many, one path each, and the back pointers make the map from
+    heads one to one, hence onto.  If a head v named a primary leaf not
+    its own path end, by (1) the leaf would lie below v and end the path
+    of a head w strictly below v, which cannot name it too: w is wrong as
+    well, and so on down an endless chain of ever-deeper heads, which a
+    finite tree cannot have.  Credit's root start need only be live.
     """
     tail = tree.tail
     head = tree.head
@@ -122,6 +134,7 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
     edge_label = tree.edge_label
     leaf_at = tree.leaf_at
     buf = tree.buf
+    ring = memoryview(buf)
     cap = tree.capacity
     slots = tree._leaf_slots
     plp = tree.mode == "plp"
@@ -129,24 +142,16 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
     structure, freshness, pointers = [], [], []
     strings = {}          # internal node -> its string, None if unknown
     leaf_starts = []
-    leaf_rank = {}        # credit mode: leaf -> rank in walk order
-    heads = prim_leaves = 0
     if plp:
         if root.plp is None:
             pointers.append("root must stay secondary")
         if root.first is None and root.plp is not root:
             pointers.append("empty root must point at itself")
-    # entries: (internal node, its string, head of its primary path); a
-    # credit marker is (None, owner node, (stored leaf, first rank below it));
-    # leaves are checked where their parent is, without a stack entry
-    stack = [(root, b"", root)]
+    # entries: (internal node, its string); leaves are checked where their
+    # parent is, without a stack entry
+    stack = [(root, b"")]
     while stack:
-        node, s, top = stack.pop()
-        if node is None:
-            leaf, first = top
-            if leaf_rank.get(leaf, -1) < first:
-                pointers.append(f"{_name(leaf)} is not a descendant of {_name(s)}")
-            continue
+        node, s = stack.pop()
         children = _child_list(node, structure)
         strings[node] = s
         depth = node.depth
@@ -156,30 +161,26 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
                 structure.append(f"the index of {_name(node)} does not list its children")
         if node is not root and len(children) < 2:
             structure.append(f"non-root {_name(node)} has {len(children)} children")
-        if plp:
-            if children and (node is root or node.plp is not None):
-                heads += 1
-        elif children:
-            if node.lp < tail:
-                pointers.append(f"{_name(node)} stores stale leaf start {node.lp} < {tail}")
-            else:
-                leaf = leaf_at(node.lp)
-                if leaf is None:
-                    pointers.append(f"{_name(node)} stores start {node.lp} of no live leaf")
-                else:
-                    stack.append((None, node, (leaf, len(leaf_rank))))
+        if not children:
+            pass
+        elif plp:
+            leaf = node.plp
+            # a path head's leaf is live (its slot holds it) and names it back
+            if leaf is not None and (slots[(getattr(leaf, "spos", 0) - 1) % cap] is not leaf
+                                     or leaf.plp_inv is not node):
+                pointers.append(f"pointer of {_name(node)} names no live leaf that "
+                                f"names it back")
+        elif node.lp < tail:
+            pointers.append(f"{_name(node)} stores stale leaf start {node.lp} < {tail}")
+        elif leaf_at(node.lp) is None:
+            pointers.append(f"{_name(node)} stores start {node.lp} of no live leaf")
         prim_children = 0
         for child in children:
             if child.parent is not node:
                 structure.append(f"parent link broken at {_name(child)}")
-            if not plp:
-                child_top = None
-            elif (child.plp is None if child.first is not None
-                  else child.plp_inv is not None):
+            if plp and (child.plp is None if child.first is not None
+                        else child.plp_inv is not None):
                 prim_children += 1
-                child_top = top
-            else:
-                child_top = child
             label = None
             try:
                 lo, hi = edge_label(child)
@@ -193,7 +194,8 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
                     freshness.append(f"edge label <{lo},{hi}> into {_name(child)} not "
                                      f"fresh for window [{tail}..{head}]")
                 else:
-                    if lo - depth < tail:
+                    k = lo - depth  # where the deriving leaf's suffix starts
+                    if k < tail:
                         freshness.append(f"edge label <{lo},{hi}> below depth {depth} not "
                                          f"strongly fresh in [{tail}..{head}]")
                     a = (lo - 1) % cap
@@ -202,16 +204,23 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
                     else:
                         label = buf[a:a + hi - lo + 1]
                         key = label[0]
+                        # the deriving leaf lies below child: its suffix
+                        # spells the parent's string, then child's key
+                        b = (k - 1) % cap
+                        if key != child.key or (depth and k >= tail and s is not None
+                                                and ring[b:b + depth] != s):
+                            pointers.append(f"the leaf deriving <{lo},{hi}> does not lie "
+                                            f"below {_name(child)}")
                     if key != child.key:
                         structure.append(f"edge key {child.key} does not match label "
                                          f"start {key}")
             if child.first is not None:
                 if label is None or s is None:
-                    stack.append((child, None, child_top))
+                    stack.append((child, None))
                 else:
                     if child.depth != depth + len(label):
                         structure.append(f"depth inconsistency at {_name(child)}")
-                    stack.append((child, s + label, child_top))
+                    stack.append((child, s + label))
                 continue
             spos = child.spos
             leaf_starts.append(spos - tail + 1)
@@ -219,19 +228,8 @@ def audit(tree, expected: TreeSketch = None) -> Audit:
                 structure.append(f"leaf start {spos} outside window")
             if slots[(spos - 1) % cap] is not child:
                 structure.append(f"leaf slot lookup broken for spos {spos}")
-            if not plp:
-                leaf_rank[child] = len(leaf_rank)
-            elif child.plp_inv is not None:
-                prim_leaves += 1
-                if top.plp is not child:
-                    pointers.append(f"pointer of {_name(top)} misses its primary path end")
-                    pointers.append(f"primary {_name(child)} has no pointer aimed at it")
-                if child.plp_inv is not top:
-                    pointers.append(f"stale inverse pointer on {_name(child)}")
         if plp and children and prim_children != 1:
             pointers.append(f"{_name(node)} has {prim_children} primary children")
-    if plp and heads != prim_leaves:
-        pointers.append("pointer map is not a bijection onto the leaves")
     taken = cap - slots.count(None)
     if taken != len(leaf_starts):
         structure.append(f"{taken} leaf slots are taken for {len(leaf_starts)} live leaves")

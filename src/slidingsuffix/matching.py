@@ -66,7 +66,8 @@ def _locate(tree, p: bytes):
     From the root, each child is chosen by ``p[depth]`` alone, through a
     node's dict index where it has one and by scanning siblings' keys
     elsewhere, down to a leaf or to the first node of depth at least
-    ``len(p)``.  Then one leaf below the node, ``tree.leafptr`` of it, is
+    ``len(p)``.  Then one leaf below the node, the node itself or its leaf
+    pointer (``tree.leafptr``'s rule, inline to save a call per query), is
     read: the pattern occurs iff the window holds it at that leaf's start.
     A start too late for the pattern to fit before the head is refused
     before the comparison, since the mirrored slice would wrap into the
@@ -88,7 +89,7 @@ def _locate(tree, p: bytes):
             return None, 0, edges
         edges += 1
         if child.first is None or child.depth >= m:
-            leaf = tree.leafptr(child)
+            leaf = child if child.first is None else tree.maint.leaf_for(child)
             break
         depth = child.depth
     k = leaf.spos

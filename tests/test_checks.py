@@ -2,12 +2,15 @@
 tree and expects the finding in the family that owns that invariant."""
 
 import json
+from itertools import combinations
 
 import pytest
 
 from slidingsuffix import SlidingSuffixTree, checks, cli, oracle
+from slidingsuffix.credit import CreditMaintenance
+from slidingsuffix.plp import PlpMaintenance
 from slidingsuffix.tree import WIDE, LeafNode
-from slidingsuffix.verify import Lcg
+from slidingsuffix.verify import Lcg, VerifyConfig, run_verify
 
 from conftest import active_ins, build, is_primary
 
@@ -379,6 +382,60 @@ def test_credit_pointer_outside_the_subtree_is_a_pointer_finding():
     assert checked
 
 
+def test_swapped_head_pointers_are_reported():
+    # swapping two heads' pointers and their leaves' inverse pointers keeps
+    # every pointer paired with its inverse, so only the check that a
+    # head's leaf lies below it sees the swap, unless the leaf's suffix
+    # is too short for the head and the pair leaves the window
+    swaps = 0
+    for seed in range(1, 60):
+        rng = Lcg(seed)
+        window, sigma = 12 + seed % 13, 2 + seed % 3
+        tree = build(bytes(97 + rng.draw(sigma) for _ in range(2 * window + seed % 7)),
+                     capacity=window)
+        expected = oracle.naive_suffix_tree(tree.window_bytes())
+        heads = [n for n in tree.iter_nodes() if n.first and n.plp is not None]
+        for v, w in combinations(heads, 2):
+            lv, lw = v.plp, w.plp
+            v.plp, w.plp, lv.plp_inv, lw.plp_inv = lw, lv, w, v
+            try:
+                found = checks.audit(tree, expected)
+            finally:
+                v.plp, w.plp, lv.plp_inv, lw.plp_inv = lv, lw, v, w
+            assert found.pointers or found.freshness, (seed, v, w)
+            swaps += 1
+        assert checks.audit(tree, expected).violations() == [], seed
+    assert swaps > 1000
+
+
+def test_hook_mutations_are_reported_by_run_verify(monkeypatch):
+    deleting = PlpMaintenance.on_leaf_deleting
+
+    def keep_inverse(self, u, w, y, merges):
+        # skips `y.plp_inv = None` where a merge leaves a leaf secondary
+        skip = merges and w.plp is not None and u.plp_inv is None and y.first is None
+        saved = y.plp_inv if skip else None
+        deleting(self, u, w, y, merges)
+        if skip:
+            y.plp_inv = saved
+
+    def promote_u(self, u, w, y, merges):
+        deleting(self, u, w, u if y is not None else None, merges)
+
+    def no_handover(self, u, w, y, merges):
+        pass
+
+    for cls, mutant, mode in ((PlpMaintenance, keep_inverse, "plp"),
+                              (PlpMaintenance, promote_u, "plp"),
+                              (CreditMaintenance, no_handover, "credit")):
+        with monkeypatch.context() as m:
+            m.setattr(cls, "on_leaf_deleting", mutant)
+            out = run_verify(VerifyConfig(seed=1))
+        assert not out.ok and out.violations, mutant.__name__
+        assert out.violations[0].startswith(f"[{mode}] "), out.violations
+    assert run_verify(VerifyConfig(seed=1)).ok
+
+
 def capped_oracle(monkeypatch, cap):
     """Make the oracle fail for any window above ``cap``; returns the call log."""
     real = oracle.naive_suffix_tree
@@ -412,10 +469,12 @@ def test_corruption_above_the_cap_is_reported_without_the_oracle(monkeypatch):
     assert len(tree) > checks.ORACLE_MAX_WINDOW
     assert checks.audit(tree).violations() == []
     leaf = next(n for n in leaves(tree) if is_primary(n) and n.plp_inv is not tree.root)
+    head = leaf.plp_inv
     leaf.plp_inv = tree.root
     found = checks.audit(tree)
     assert found.topology == []
-    assert f"stale inverse pointer on leaf {leaf.spos}" in found.pointers
+    assert (f"pointer of {checks._name(head)} names no live leaf that names it back"
+            in found.pointers)
 
 
 def test_stream_checks_above_the_cap_without_the_oracle(monkeypatch, tmp_path, capsys):
